@@ -2,8 +2,9 @@
 // throughput per preset and payload type (google-benchmark), plus the
 // chunk-parallel battery — serial vs 1/2/4-thread chunk_compress over the
 // same corpus, asserting at runtime that every parallel frame is
-// byte-identical to the serial one (exit 1 on mismatch: determinism is the
-// SWF2 contract, not a statistical property). With SWALLOW_BENCH_JSON set
+// byte-identical to the serial one and that serial and 4-thread
+// chunk_decompress reproduce the input (exit 1 on mismatch: determinism is
+// the SWF2 contract, not a statistical property). With SWALLOW_BENCH_JSON set
 // the battery appends `chunk.<codec>.*_mbps` / `.p4.speedup` gauges for the
 // CI regression gate (BENCH_codec.json).
 //
@@ -144,10 +145,10 @@ bool run_chunk_battery(obs::Registry& registry) {
   bool ok = true;
   std::printf(
       "\nchunk-parallel battery: %zu MiB mixed corpus, %zu KiB chunks\n"
-      "%-14s %12s %12s %12s %12s %10s %12s\n",
+      "%-14s %12s %12s %12s %12s %10s %12s %12s\n",
       payload.size() >> 20, codec::kDefaultChunkBytes >> 10, "codec",
       "serial MB/s", "p1 MB/s", "p2 MB/s", "p4 MB/s", "p4 spdup",
-      "dec p4 MB/s");
+      "dec MB/s", "dec p4 MB/s");
   for (const auto kind :
        {codec::CodecKind::kHuffman, codec::CodecKind::kLzFast,
         codec::CodecKind::kLzBalanced}) {
@@ -175,6 +176,15 @@ bool run_chunk_battery(obs::Registry& registry) {
       if (threads == 4) p4 = mbps;
     }
     registry.gauge("chunk." + name + ".p4.speedup").set(p4 / serial);
+    bool serial_identical = false;
+    const double dec_serial =
+        measure_decode_mbps(serial_frame, payload, nullptr, serial_identical);
+    if (!serial_identical) {
+      std::fprintf(stderr, "FAIL: %s serial chunk decode != payload\n",
+                   name.c_str());
+      ok = false;
+    }
+    registry.gauge("chunk." + name + ".decode_serial_mbps").set(dec_serial);
     codec::ChunkPool dec_pool(4);
     bool dec_identical = false;
     const double dec =
@@ -186,11 +196,11 @@ bool run_chunk_battery(obs::Registry& registry) {
     }
     registry.gauge("chunk." + name + ".decode_p4_mbps").set(dec);
     const auto& g = registry.gauge("chunk." + name + ".p4.speedup");
-    std::printf("%-14s %12.1f %12.1f %12.1f %12.1f %9.2fx %12.1f\n",
+    std::printf("%-14s %12.1f %12.1f %12.1f %12.1f %9.2fx %12.1f %12.1f\n",
                 name.c_str(), serial,
                 registry.gauge("chunk." + name + ".p1_mbps").value(),
                 registry.gauge("chunk." + name + ".p2_mbps").value(), p4,
-                g.value(), dec);
+                g.value(), dec_serial, dec);
   }
   std::printf("(speedup scales with physical cores; chunks are independent, "
               "so p4 approaches 4x on >=4-core hosts)\n\n");

@@ -132,16 +132,22 @@ Buffer ChunkEncoder::encode_record(std::size_t index) const {
   const std::span<const std::uint8_t> raw = payload_.subspan(off, len);
 
   const auto t0 = std::chrono::steady_clock::now();
-  Buffer container(codec_->max_compressed_size(len));
-  const std::size_t stored = codec_->compress(raw, container);
-
-  Buffer record(1 + kMaxVarintBytes + 8 + stored);
+  // Compress straight into the record, behind a header sized for the
+  // worst-case stored size. A container that lands in fewer varint bytes
+  // (only a very compressible chunk, so a short one) slides down to close
+  // the gap.
+  const std::size_t max_stored = codec_->max_compressed_size(len);
+  const std::size_t body = 1 + varint_size(max_stored) + 8;
+  Buffer record(body + max_stored);
+  const std::size_t stored = codec_->compress(
+      raw, std::span<std::uint8_t>(record).subspan(body));
   record[0] = codec_->id();
   std::size_t pos = 1;
   pos += write_varint(stored, record, pos);
-  write_u64le(fnv1a64(raw), record.data() + pos);
+  write_u64le(checksum64(raw), record.data() + pos);
   pos += 8;
-  std::memcpy(record.data() + pos, container.data(), stored);
+  if (pos != body)
+    std::memmove(record.data() + pos, record.data() + body, stored);
   record.resize(pos + stored);
   if (ledger_ != nullptr)
     ledger_->record_encode(len, record.size(), seconds_since(t0));
@@ -251,7 +257,8 @@ struct ChunkRef {
   std::size_t raw_len = 0;
 };
 
-// Decodes one record's container into `out` and verifies the checksum.
+// Decodes one record's container straight into `out` (its exact raw span)
+// and verifies the checksum.
 // Shared by the one-shot walker and the streaming decoder.
 void decode_chunk(std::span<const std::uint8_t> container,
                   std::uint8_t record_id, std::uint64_t checksum,
@@ -261,16 +268,15 @@ void decode_chunk(std::span<const std::uint8_t> container,
   if (container.empty() || container[0] != record_id)
     throw CodecError("chunk: record codec id mismatch in chunk " +
                      std::to_string(index));
-  const auto t0 = std::chrono::steady_clock::now();
-  const Buffer raw = decompress_any(container);
-  if (raw.size() != out.size())
+  const Codec& codec = codec_by_id(record_id);
+  if (codec.decompressed_size(container) != out.size())
     throw CodecError("chunk: size mismatch in chunk " + std::to_string(index));
-  if (fnv1a64(raw) != checksum)
+  const auto t0 = std::chrono::steady_clock::now();
+  codec.decompress(container, out);
+  if (checksum64(out) != checksum)
     throw CodecError("chunk: checksum mismatch in chunk " +
                      std::to_string(index));
-  std::memcpy(out.data(), raw.data(), raw.size());
-  if (ledger != nullptr)
-    ledger->record_decode(raw.size(), seconds_since(t0));
+  if (ledger != nullptr) ledger->record_decode(out.size(), seconds_since(t0));
 }
 
 }  // namespace

@@ -90,14 +90,26 @@ std::vector<CodecKind> all_codec_kinds() {
           CodecKind::kLzHuff};
 }
 
+const Codec& codec_by_id(std::uint8_t id) {
+  // Built once (thread-safe static init), indexed by id.
+  static const std::vector<std::unique_ptr<Codec>> by_id = [] {
+    std::vector<std::unique_ptr<Codec>> codecs;
+    for (const CodecKind kind : all_codec_kinds()) {
+      auto codec = make_codec(kind);
+      const std::size_t slot = codec->id();
+      if (codecs.size() <= slot) codecs.resize(slot + 1);
+      codecs[slot] = std::move(codec);
+    }
+    return codecs;
+  }();
+  if (id >= by_id.size() || !by_id[id])
+    throw CodecError("unknown codec id " + std::to_string(id));
+  return *by_id[id];
+}
+
 Buffer decompress_any(std::span<const std::uint8_t> container) {
   if (container.empty()) throw CodecError("decompress_any: empty container");
-  const std::uint8_t id = container[0];
-  for (const CodecKind kind : all_codec_kinds()) {
-    const auto codec = make_codec(kind);
-    if (codec->id() == id) return codec->decompress(container);
-  }
-  throw CodecError("decompress_any: unknown codec id " + std::to_string(id));
+  return codec_by_id(container[0]).decompress(container);
 }
 
 const char* codec_kind_name(CodecKind kind) {

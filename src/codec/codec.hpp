@@ -82,6 +82,11 @@ std::unique_ptr<Codec> make_codec(CodecKind kind);
 /// All built-in kinds, for parameterized tests and benches.
 std::vector<CodecKind> all_codec_kinds();
 
+/// The built-in codec whose container id byte is `id`: a process-lifetime
+/// shared instance (codecs are stateless), so lookups construct nothing.
+/// Throws CodecError on unknown ids.
+const Codec& codec_by_id(std::uint8_t id);
+
 /// Decodes any container produced by a built-in codec by dispatching on the
 /// id byte (containers are self-describing). Throws CodecError on unknown
 /// ids or corrupt payloads.

@@ -1,6 +1,8 @@
 #include "codec/frame.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -27,7 +29,70 @@ std::uint64_t read_u64le(std::span<const std::uint8_t> in, std::size_t pos) {
   return v;
 }
 
+// XXH64 constants and lane step.
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ULL;
+
+template <typename Word>
+std::uint64_t load_le(const std::uint8_t* p) {
+  Word v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    Word r = 0;
+    for (std::size_t i = 0; i < sizeof(Word); ++i)
+      r = static_cast<Word>((r << 8) | ((v >> (8 * i)) & 0xff));
+    v = r;
+  }
+  return v;
+}
+
+std::uint64_t lane(std::uint64_t acc, std::uint64_t word) {
+  return std::rotl(acc + word * kP2, 31) * kP1;
+}
+
+std::uint64_t merge_lane(std::uint64_t h, std::uint64_t acc) {
+  return (h ^ lane(0, acc)) * kP1 + kP4;
+}
+
 }  // namespace
+
+std::uint64_t checksum64(std::span<const std::uint8_t> data) {
+  const std::uint8_t* p = data.data();
+  const std::size_t n = data.size();
+  const std::uint8_t* const end = p + n;
+  std::uint64_t h;
+  if (n >= 32) {
+    std::uint64_t v1 = kP1 + kP2, v2 = kP2, v3 = 0, v4 = 0 - kP1;
+    for (const std::uint8_t* const limit = end - 32; p <= limit; p += 32) {
+      v1 = lane(v1, load_le<std::uint64_t>(p));
+      v2 = lane(v2, load_le<std::uint64_t>(p + 8));
+      v3 = lane(v3, load_le<std::uint64_t>(p + 16));
+      v4 = lane(v4, load_le<std::uint64_t>(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = merge_lane(merge_lane(merge_lane(merge_lane(h, v1), v2), v3), v4);
+  } else {
+    h = kP5;
+  }
+  h += n;
+  for (; end - p >= 8; p += 8)
+    h = std::rotl(h ^ lane(0, load_le<std::uint64_t>(p)), 27) * kP1 + kP4;
+  if (end - p >= 4) {
+    h = std::rotl(h ^ (load_le<std::uint32_t>(p) * kP1), 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = std::rotl(h ^ (*p * kP5), 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
+}
 
 std::uint64_t fnv1a64(std::span<const std::uint8_t> data) {
   std::uint64_t h = 14695981039346656037ULL;
@@ -92,7 +157,7 @@ Buffer frame_compress(const Codec& codec,
     const std::size_t off = b * block_size;
     const std::size_t len = std::min(block_size, payload.size() - off);
     pos += write_varint(sizes[b], out, pos);
-    write_u64le(fnv1a64(payload.subspan(off, len)), out, pos);
+    write_u64le(checksum64(payload.subspan(off, len)), out, pos);
     pos += 8;
     std::copy_n(scratch.data() + b * slot, sizes[b],
                 out.begin() + static_cast<std::ptrdiff_t>(pos));
@@ -125,15 +190,7 @@ std::size_t frame_decompress_into(std::span<const std::uint8_t> frame,
   if (out.size() < raw_size)
     throw CodecError("frame: output buffer too small");
 
-  std::unique_ptr<Codec> codec;
-  for (const CodecKind kind : all_codec_kinds()) {
-    auto candidate = make_codec(kind);
-    if (candidate->id() == codec_id) {
-      codec = std::move(candidate);
-      break;
-    }
-  }
-  if (!codec) throw CodecError("frame: unknown codec id");
+  const Codec& codec = codec_by_id(codec_id);
 
   const std::size_t num_blocks =
       raw_size == 0 ? 0 : (raw_size + block_size - 1) / block_size;
@@ -164,11 +221,11 @@ std::size_t frame_decompress_into(std::span<const std::uint8_t> frame,
   auto decode_range = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t b = lo; b < hi; ++b) {
       const BlockRef& ref = refs[b];
-      const std::size_t n = codec->decompress(
+      const std::size_t n = codec.decompress(
           frame.subspan(ref.container_pos, ref.container_size),
           std::span<std::uint8_t>(out.data() + ref.raw_off, ref.raw_len));
       if (n != ref.raw_len) throw CodecError("frame: block size mismatch");
-      if (fnv1a64({out.data() + ref.raw_off, ref.raw_len}) != ref.checksum)
+      if (checksum64({out.data() + ref.raw_off, ref.raw_len}) != ref.checksum)
         throw CodecError("frame: checksum mismatch in block " +
                          std::to_string(b));
     }

@@ -23,12 +23,13 @@ std::uint32_t read32(const std::uint8_t* p) {
   return v;
 }
 
-std::uint32_t hash32(std::uint32_t v, int bits) {
-  return (v * 2654435761u) >> (32 - bits);
+template <int Bits>
+std::uint32_t hash32(std::uint32_t v) {
+  return (v * 2654435761u) >> (32 - Bits);
 }
 
 /// Emits one sequence; returns new output position.
-std::size_t emit_sequence(std::span<std::uint8_t> out, std::size_t op,
+std::size_t emit_sequence(std::uint8_t* out, std::size_t op,
                           const std::uint8_t* literals, std::size_t lit_len,
                           std::size_t match_len, std::size_t offset) {
   const std::size_t lit_nib = std::min<std::size_t>(lit_len, 15);
@@ -41,8 +42,7 @@ std::size_t emit_sequence(std::span<std::uint8_t> out, std::size_t op,
     }
     out[op++] = static_cast<std::uint8_t>(rest);
   }
-  std::copy_n(literals, lit_len,
-              out.begin() + static_cast<std::ptrdiff_t>(op));
+  if (lit_len > 0) std::memcpy(out + op, literals, lit_len);
   op += lit_len;
 
   if (match_len == 0) {  // final literal-only sequence
@@ -96,60 +96,22 @@ std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
   return static_cast<std::size_t>(b - start);
 }
 
-}  // namespace
-
-LzCodec::LzCodec(LzPreset preset) : preset_(preset) {}
-
-std::string LzCodec::name() const {
-  switch (preset_) {
-    case LzPreset::kFast: return "swlz-fast";
-    case LzPreset::kBalanced: return "swlz-balanced";
-    case LzPreset::kHigh: return "swlz-high";
-  }
-  return "swlz";
-}
-
-std::uint8_t LzCodec::id() const {
-  switch (preset_) {
-    case LzPreset::kFast: return 2;
-    case LzPreset::kBalanced: return 3;
-    case LzPreset::kHigh: return 4;
-  }
-  return 2;
-}
-
-std::size_t LzCodec::max_payload_size(std::size_t raw) const {
-  return raw + raw / 255 + 16;
-}
-
-std::size_t LzCodec::max_compressed_size(std::size_t raw) const {
-  return 1 + varint_size(raw) + max_payload_size(raw);
-}
-
-std::size_t LzCodec::encode(std::span<const std::uint8_t> in,
-                            std::span<std::uint8_t> out) const {
-  if (in.size() <= kTailGuard + kMinMatch)
-    return emit_sequence(out, 0, in.data(), in.size(), 0, 0);
-  switch (preset_) {
-    case LzPreset::kFast: return encode_hash(in, out, 13, /*accelerate=*/true);
-    case LzPreset::kBalanced:
-      return encode_hash(in, out, 16, /*accelerate=*/false);
-    case LzPreset::kHigh: return encode_chain(in, out);
-  }
-  throw CodecError("swlz: unknown preset");
-}
-
-std::size_t LzCodec::encode_hash(std::span<const std::uint8_t> in,
-                                 std::span<std::uint8_t> out, int hash_bits,
-                                 bool accelerate) const {
+// Greedy single-probe matcher (kFast, kBalanced). The table size and skip
+// acceleration are template parameters so the probe loop compiles with
+// constant shifts and no preset branches.
+template <int HashBits, bool Accelerate>
+std::size_t encode_hash(std::span<const std::uint8_t> in, std::uint8_t* out) {
   const std::uint8_t* base = in.data();
   const std::size_t n = in.size();
   const std::size_t match_limit = n - kTailGuard;
   // Per-thread scratch: assign() re-zeroes without reallocating when block
   // after block hits the same preset (the chunk pool's workers each keep
   // their own copy).
-  thread_local std::vector<std::uint32_t> table;
-  table.assign(std::size_t{1} << hash_bits, 0);
+  thread_local std::vector<std::uint32_t> table_storage;
+  table_storage.assign(std::size_t{1} << HashBits, 0);
+  // A local pointer: byte stores to `out` could alias the thread_local
+  // vector's internals and would force a reload on every probe.
+  std::uint32_t* const table = table_storage.data();
 
   std::size_t op = 0;
   std::size_t anchor = 0;  // start of the pending literal run
@@ -157,23 +119,32 @@ std::size_t LzCodec::encode_hash(std::span<const std::uint8_t> in,
   std::uint32_t misses = 0;
 
   while (ip < match_limit) {
-    const std::uint32_t h = hash32(read32(base + ip), hash_bits);
+    const std::uint32_t h = hash32<HashBits>(read32(base + ip));
     const std::uint32_t cand = table[h];
     table[h] = static_cast<std::uint32_t>(ip + 1);
 
-    const bool usable =
-        cand != 0 && (ip + 1 - cand) <= kMaxOffset &&
-        read32(base + cand - 1) == read32(base + ip);
+    // Evaluated without short-circuits: in incompressible stretches the
+    // window test alone is a coin flip, and one predictable branch on the
+    // combined result is cheaper than a mispredicted one per byte. An
+    // empty slot (cand == 0) probes position 0, which is always in bounds.
+    const std::size_t probe = cand != 0 ? cand - 1 : 0;
+    const bool usable = (cand != 0) & ((ip + 1 - cand) <= kMaxOffset) &
+                        (read32(base + probe) == read32(base + ip));
     if (!usable) {
       // Skip acceleration: in incompressible regions stride grows so the
       // scan stays O(n) with a small constant (LZ4's trick).
-      ip += accelerate ? 1 + (misses++ >> 6) : 1;
+      ip += Accelerate ? 1 + (misses++ >> 6) : 1;
       continue;
     }
     misses = 0;
     const std::size_t match_pos = cand - 1;
+    // The probe already compared the first kMinMatch bytes.
     const std::size_t len =
-        match_length(base + match_pos, base + ip, base + match_limit);
+        ip + kMinMatch <= match_limit
+            ? kMinMatch + match_length(base + match_pos + kMinMatch,
+                                       base + ip + kMinMatch,
+                                       base + match_limit)
+            : match_length(base + match_pos, base + ip, base + match_limit);
     if (len < kMinMatch) {
       ++ip;
       continue;
@@ -184,27 +155,29 @@ std::size_t LzCodec::encode_hash(std::span<const std::uint8_t> in,
     anchor = ip;
     // Seed the table inside the match so back-to-back matches chain well.
     if (ip < match_limit)
-      table[hash32(read32(base + ip - 2), hash_bits)] =
+      table[hash32<HashBits>(read32(base + ip - 2))] =
           static_cast<std::uint32_t>(ip - 1);
   }
   return emit_sequence(out, op, base + anchor, n - anchor, 0, 0);
 }
 
-std::size_t LzCodec::encode_chain(std::span<const std::uint8_t> in,
-                                  std::span<std::uint8_t> out) const {
+// Hash-chain matcher (kHigh): best of up to kChainDepth candidates.
+std::size_t encode_chain(std::span<const std::uint8_t> in, std::uint8_t* out) {
   constexpr int kHashBits = 16;
   constexpr std::size_t kChainDepth = 64;
   const std::uint8_t* base = in.data();
   const std::size_t n = in.size();
   const std::size_t match_limit = n - kTailGuard;
 
-  thread_local std::vector<std::uint32_t> head;
-  thread_local std::vector<std::uint32_t> prev;
-  head.assign(std::size_t{1} << kHashBits, 0);
-  prev.assign(n, 0);  // prev[pos] = earlier pos + 1
+  thread_local std::vector<std::uint32_t> head_storage;
+  thread_local std::vector<std::uint32_t> prev_storage;
+  head_storage.assign(std::size_t{1} << kHashBits, 0);
+  prev_storage.assign(n, 0);  // prev[pos] = earlier pos + 1
+  std::uint32_t* const head = head_storage.data();
+  std::uint32_t* const prev = prev_storage.data();
 
   auto insert = [&](std::size_t pos) {
-    const std::uint32_t h = hash32(read32(base + pos), kHashBits);
+    const std::uint32_t h = hash32<kHashBits>(read32(base + pos));
     prev[pos] = head[h];
     head[h] = static_cast<std::uint32_t>(pos + 1);
   };
@@ -214,7 +187,7 @@ std::size_t LzCodec::encode_chain(std::span<const std::uint8_t> in,
   std::size_t ip = 0;
 
   while (ip < match_limit) {
-    const std::uint32_t h = hash32(read32(base + ip), kHashBits);
+    const std::uint32_t h = hash32<kHashBits>(read32(base + ip));
     // Hoisted window bound: one subtraction here replaces a subtract+compare
     // against ip at every chain hop.
     const std::size_t window_lo = ip > kMaxOffset ? ip - kMaxOffset : 0;
@@ -249,55 +222,120 @@ std::size_t LzCodec::encode_chain(std::span<const std::uint8_t> in,
   return emit_sequence(out, op, base + anchor, n - anchor, 0, 0);
 }
 
+}  // namespace
+
+LzCodec::LzCodec(LzPreset preset) : preset_(preset) {}
+
+std::string LzCodec::name() const {
+  switch (preset_) {
+    case LzPreset::kFast: return "swlz-fast";
+    case LzPreset::kBalanced: return "swlz-balanced";
+    case LzPreset::kHigh: return "swlz-high";
+  }
+  return "swlz";
+}
+
+std::uint8_t LzCodec::id() const {
+  switch (preset_) {
+    case LzPreset::kFast: return 2;
+    case LzPreset::kBalanced: return 3;
+    case LzPreset::kHigh: return 4;
+  }
+  return 2;
+}
+
+std::size_t LzCodec::max_payload_size(std::size_t raw) const {
+  return raw + raw / 255 + 16;
+}
+
+std::size_t LzCodec::max_compressed_size(std::size_t raw) const {
+  return 1 + varint_size(raw) + max_payload_size(raw);
+}
+
+std::size_t LzCodec::encode(std::span<const std::uint8_t> in,
+                            std::span<std::uint8_t> out) const {
+  if (in.size() <= kTailGuard + kMinMatch)
+    return emit_sequence(out.data(), 0, in.data(), in.size(), 0, 0);
+  switch (preset_) {
+    case LzPreset::kFast: return encode_hash<13, true>(in, out.data());
+    case LzPreset::kBalanced: return encode_hash<16, false>(in, out.data());
+    case LzPreset::kHigh: return encode_chain(in, out.data());
+  }
+  throw CodecError("swlz: unknown preset");
+}
+
 void LzCodec::decode(std::span<const std::uint8_t> in,
                      std::span<std::uint8_t> out) const {
-  std::size_t ip = 0, op = 0;
-  const std::size_t in_size = in.size();
-  const std::size_t out_size = out.size();
+  // Pointer walk with over-copies: literals move 16 bytes and far matches
+  // 8 bytes per step, each allowed only while the rounded-up copy stays
+  // inside `out` (and, for literals, inside `in`). The bound is the end of
+  // this span, never of any larger buffer it was cut from: parallel chunk
+  // decodes write adjacent sub-spans of one payload.
+  const std::uint8_t* ip = in.data();
+  const std::uint8_t* const iend = ip + in.size();
+  std::uint8_t* op = out.data();
+  std::uint8_t* const ostart = op;
+  std::uint8_t* const oend = op + out.size();
 
   auto read_extended = [&](std::size_t nib) {
     std::size_t len = nib;
     if (nib == 15) {
       std::uint8_t b;
       do {
-        if (ip >= in_size) throw CodecError("swlz: truncated length");
-        b = in[ip++];
+        if (ip >= iend) throw CodecError("swlz: truncated length");
+        b = *ip++;
         len += b;
       } while (b == 255);
     }
     return len;
   };
+  auto room = [](const auto* from, const auto* to) {
+    return static_cast<std::size_t>(to - from);
+  };
 
   while (true) {
-    if (ip >= in_size) throw CodecError("swlz: missing token");
-    const std::uint8_t token = in[ip++];
+    if (ip >= iend) throw CodecError("swlz: missing token");
+    const std::uint8_t token = *ip++;
     const std::size_t lit_len = read_extended(token >> 4);
-    if (ip + lit_len > in_size) throw CodecError("swlz: truncated literals");
-    if (op + lit_len > out_size)
+    if (lit_len > room(ip, iend)) throw CodecError("swlz: truncated literals");
+    if (lit_len > room(op, oend))
       throw CodecError("swlz: literals overflow output");
-    std::copy_n(in.begin() + static_cast<std::ptrdiff_t>(ip), lit_len,
-                out.begin() + static_cast<std::ptrdiff_t>(op));
+    const std::size_t lit_span = (lit_len + 15) & ~std::size_t{15};
+    if (lit_span <= room(ip, iend) && lit_span <= room(op, oend)) {
+      for (std::size_t i = 0; i < lit_len; i += 16)
+        std::memcpy(op + i, ip + i, 16);
+    } else if (lit_len > 0) {
+      std::memcpy(op, ip, lit_len);
+    }
     ip += lit_len;
     op += lit_len;
 
-    if (ip == in_size) {
-      if (op != out_size) throw CodecError("swlz: output size mismatch");
+    if (ip == iend) {
+      if (op != oend) throw CodecError("swlz: output size mismatch");
       return;  // final literal-only sequence
     }
 
-    if (ip + 2 > in_size) throw CodecError("swlz: truncated offset");
-    const std::size_t offset =
-        static_cast<std::size_t>(in[ip]) |
-        (static_cast<std::size_t>(in[ip + 1]) << 8);
+    if (room(ip, iend) < 2) throw CodecError("swlz: truncated offset");
+    const std::size_t offset = static_cast<std::size_t>(ip[0]) |
+                               (static_cast<std::size_t>(ip[1]) << 8);
     ip += 2;
-    if (offset == 0 || offset > op) throw CodecError("swlz: bad match offset");
+    if (offset == 0 || offset > room(ostart, op))
+      throw CodecError("swlz: bad match offset");
     const std::size_t match_len = read_extended(token & 0x0f) + kMinMatch;
-    if (op + match_len > out_size)
+    if (match_len > room(op, oend))
       throw CodecError("swlz: match overflows output");
-    // Byte-wise copy: overlapping matches (offset < len) replicate runs.
-    const std::uint8_t* src = out.data() + (op - offset);
-    std::uint8_t* dst = out.data() + op;
-    for (std::size_t i = 0; i < match_len; ++i) dst[i] = src[i];
+    const std::uint8_t* src = op - offset;
+    const std::size_t match_span = (match_len + 7) & ~std::size_t{7};
+    if (offset >= 8 && match_span <= room(op, oend)) {
+      // Each 8-byte read ends at or before the write cursor, so it only
+      // sees bytes already produced.
+      for (std::size_t i = 0; i < match_len; i += 8)
+        std::memcpy(op + i, src + i, 8);
+    } else {
+      // Near matches (offset < 8) replicate runs byte by byte, as does a
+      // match whose rounded-up copy would pass the end of `out`.
+      for (std::size_t i = 0; i < match_len; ++i) op[i] = src[i];
+    }
     op += match_len;
   }
 }

@@ -36,12 +36,6 @@ class LzCodec final : public Codec {
   std::size_t max_payload_size(std::size_t raw) const override;
 
  private:
-  std::size_t encode_hash(std::span<const std::uint8_t> in,
-                          std::span<std::uint8_t> out, int hash_bits,
-                          bool accelerate) const;
-  std::size_t encode_chain(std::span<const std::uint8_t> in,
-                           std::span<std::uint8_t> out) const;
-
   LzPreset preset_;
 };
 

@@ -2,9 +2,9 @@
 //
 // A snapshot wraps an opaque state payload (produced by the engine's or
 // the runtime master's save_state) in the codec frame container, which
-// gives per-block FNV-1a checksums and transparent compression for free:
+// gives per-block checksum64 guards and transparent compression for free:
 //
-//   'S''W''S''N' | u32le version | u64le config_fingerprint |
+//   'S''W''S''N' | u64le seq | u32le version | u64le config_fingerprint |
 //   codec::frame(payload)
 //
 // The config fingerprint hashes everything that must match between the
@@ -27,7 +27,8 @@
 
 namespace swallow::recovery {
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+// Version 2: frame blocks carry checksum64 (version 1 carried FNV-1a).
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 struct SnapshotMeta {
   std::uint64_t seq = 0;          // checkpoint sequence number

@@ -3,7 +3,9 @@
 // corruption class bare LZ decoding cannot, and header validation.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
+#include <utility>
 
 #include "codec/frame.hpp"
 #include "codec/synth_data.hpp"
@@ -117,6 +119,57 @@ TEST(Frame, EmptyPayload) {
   const Buffer frame = frame_compress(*codec, {});
   EXPECT_EQ(frame_decompressed_size(frame), 0u);
   EXPECT_TRUE(frame_decompress(frame).empty());
+}
+
+TEST(Checksum64, PublishedXxh64Vectors) {
+  // checksum64 is XXH64 with seed 0; these are the algorithm's published
+  // reference values (the 39-byte string exercises the four-lane body).
+  const auto sum = [](const char* s) {
+    return checksum64({reinterpret_cast<const std::uint8_t*>(s),
+                       std::strlen(s)});
+  };
+  EXPECT_EQ(sum(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(sum("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(sum("abc"), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(sum("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ULL);
+}
+
+TEST(Checksum64, KnownAnswersAcrossLaneAndTailBoundaries) {
+  // Lengths straddle the 4-, 8- and 32-byte steps of the word loop.
+  const std::pair<std::size_t, std::uint64_t> kVectors[] = {
+      {0, 0xef46db3751d8e999ULL},    {1, 0xa96c7f0ce858bbb7ULL},
+      {7, 0x2744460dd675d2c0ULL},    {8, 0x994b676b71ce94ddULL},
+      {31, 0x6711d55e306b5d8fULL},   {32, 0x07f7b8e3bc5d6e25ULL},
+      {33, 0x09f85eeb4e1cbe9fULL},   {4096, 0xcf05adf75aca30cfULL},
+  };
+  for (const auto& [n, expected] : kVectors) {
+    Buffer data(n);
+    for (std::size_t i = 0; i < n; ++i)
+      data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    EXPECT_EQ(checksum64(data), expected) << "length " << n;
+  }
+}
+
+TEST(Checksum64, EverySingleBitFlipIsDetected) {
+  Rng rng(4096);
+  Buffer data = random_bytes(4096, rng);
+  const std::uint64_t clean = checksum64(data);
+  for (std::size_t bit = 0; bit < data.size() * 8; ++bit) {
+    data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    ASSERT_NE(checksum64(data), clean) << "bit " << bit;
+    data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  }
+}
+
+TEST(Checksum64, AppendingAZeroByteChangesTheSum) {
+  // The length is mixed in, so zero padding cannot go unnoticed.
+  for (const std::size_t n : {0u, 1u, 7u, 31u, 32u, 4095u}) {
+    Buffer data(n, 0);
+    const std::uint64_t before = checksum64(data);
+    data.push_back(0);
+    EXPECT_NE(checksum64(data), before) << "length " << n;
+  }
 }
 
 TEST(Frame, Fnv1aKnownVector) {

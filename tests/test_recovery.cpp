@@ -20,6 +20,9 @@
 #include <vector>
 
 #include "codec/codec_model.hpp"
+#include "codec/frame.hpp"
+#include "codec/null_codec.hpp"
+#include "codec/varint.hpp"
 #include "cpu/cpu_model.hpp"
 #include "recovery/journal.hpp"
 #include "recovery/recovery.hpp"
@@ -476,6 +479,68 @@ TEST(RecoveryFuzz, SnapshotLoaderSurvivesTruncationAndBitFlips) {
   } catch (const recovery::RecoveryError& e) {
     EXPECT_NE(e.offset(), recovery::RecoveryError::npos);
   }
+}
+
+/// A snapshot file in the version-1 layout: the current header with
+/// version 1, and an SWF1 frame (null codec, one block) whose block
+/// checksum is FNV-1a of the raw bytes, as version 1 wrote it.
+std::vector<std::uint8_t> version1_snapshot(
+    std::uint64_t seq, std::uint64_t fingerprint,
+    std::span<const std::uint8_t> payload) {
+  const codec::Buffer container = codec::NullCodec().compress(payload);
+  codec::Buffer varints(3 * codec::kMaxVarintBytes);
+  std::size_t n = 0;
+  n += codec::write_varint(payload.size(), varints, n);
+  n += codec::write_varint(codec::kDefaultFrameBlock, varints, n);
+  n += codec::write_varint(container.size(), varints, n);
+
+  recovery::StateWriter out;
+  for (const char c : {'S', 'W', 'S', 'N'}) out.u8(static_cast<std::uint8_t>(c));
+  out.u64(seq);
+  out.u32(1);
+  out.u64(fingerprint);
+  for (const char c : {'S', 'W', 'F', '1'}) out.u8(static_cast<std::uint8_t>(c));
+  out.u8(codec::NullCodec().id());
+  out.bytes(std::span<const std::uint8_t>(varints.data(), n));
+  out.u64(codec::fnv1a64(payload));
+  out.bytes(container);
+  return out.take();
+}
+
+TEST(RecoveryGuard, VersionOneSnapshotIsSkewAndLoaderFallsBackPastIt) {
+  TempDir dir;
+  recovery::StateWriter payload;
+  for (int i = 0; i < 400; ++i) payload.f64(i * 0.5);
+  recovery::SnapshotMeta meta;
+  meta.seq = 3;
+  meta.fingerprint = 0x5eed;
+  recovery::write_snapshot(dir.str(), meta, payload.buffer());
+
+  // A newer snapshot left behind by a version-1 build.
+  const std::vector<std::uint8_t> v1 =
+      version1_snapshot(5, meta.fingerprint, payload.buffer());
+  const std::string v1_path = recovery::snapshot_path(dir.str(), 5);
+  spit(v1_path, v1);
+
+  // Its frame checksums are FNV-1a, which today's frame reader rejects;
+  // the version field is what reports this as skew rather than damage.
+  EXPECT_THROW(
+      codec::frame_decompress(std::span<const std::uint8_t>(v1).subspan(/*header=*/24)),
+      codec::CodecError);
+  try {
+    (void)recovery::read_snapshot(v1_path, meta.fingerprint);
+    FAIL() << "version-1 snapshot accepted";
+  } catch (const recovery::RecoveryError& e) {
+    EXPECT_NE(std::string(e.what()).find("format version 1"),
+              std::string::npos)
+        << e.what();
+  }
+
+  const auto loaded = recovery::load_latest_snapshot(dir.str(), meta.fingerprint);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->meta.seq, 3u);
+  EXPECT_EQ(loaded->meta.version, recovery::kSnapshotVersion);
+  EXPECT_EQ(loaded->payload, payload.buffer());
 }
 
 TEST(RecoveryFuzz, JournalLoaderSurvivesTruncationAndBitFlips) {
