@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
 namespace swallow::core {
@@ -59,7 +58,7 @@ namespace {
                         .add("coflow", std::int64_t(c.id))
                         .add("gamma", est.gamma)
                         .add("priority", c.priority)
-                        .add("key", est.adjusted_gamma)
+                        .add("key", est.key.primary)
                         .str());
 }
 
@@ -99,9 +98,10 @@ namespace {
 }
 
 std::vector<CoflowEstimate> time_calculation(const sched::SchedContext& ctx,
-                                             bool online,
+                                             bool compression,
                                              bool force_compression) {
-  const EvalEnv env = eval_env(ctx);
+  EvalEnv env = eval_env(ctx);
+  if (!compression) env.codec = nullptr;
   // Group unfinished flows by coflow. The engine hands the grouping over in
   // coflow_flow_offsets (it walks coflow-by-coflow anyway), so the common
   // path is a flat slice per coflow; hand-built contexts without offsets
@@ -142,8 +142,9 @@ std::vector<CoflowEstimate> time_calculation(const sched::SchedContext& ctx,
       if (ctx.sink != nullptr) [[unlikely]]
         emit_beta_decision(ctx, *f, *c, ev.beta, ev.fct);
     }
-    est.adjusted_gamma =
-        online ? est.gamma / std::max(c->priority, 1.0) : est.gamma;
+    est.key = {fvdf_key(est.gamma, c->priority), c->arrival, c->id,
+               kFvdfBand};
+    est.dispose = std::max(est.gamma, ctx.slice);
     if (ctx.sink != nullptr) [[unlikely]]
       emit_coflow_estimate(ctx, *c, est);
     estimates.push_back(std::move(est));
@@ -151,18 +152,12 @@ std::vector<CoflowEstimate> time_calculation(const sched::SchedContext& ctx,
   return estimates;
 }
 
-fabric::Allocation fvdf_allocate(const sched::SchedContext& ctx, bool online,
-                                 bool backfill, bool force_compression) {
-  obs::ProfileScope scope(ctx.sink, "fvdf.allocate");
-  std::vector<CoflowEstimate> estimates =
-      time_calculation(ctx, online, force_compression);
+fabric::Allocation fvdf_allocate(const sched::SchedContext& ctx,
+                                 std::vector<CoflowEstimate> estimates,
+                                 bool backfill) {
   std::stable_sort(estimates.begin(), estimates.end(),
                    [](const CoflowEstimate& a, const CoflowEstimate& b) {
-                     if (a.adjusted_gamma != b.adjusted_gamma)
-                       return a.adjusted_gamma < b.adjusted_gamma;
-                     if (a.coflow->arrival != b.coflow->arrival)
-                       return a.coflow->arrival < b.coflow->arrival;
-                     return a.coflow->id < b.coflow->id;
+                     return a.key < b.key;
                    });
 
   fabric::Allocation alloc;
@@ -170,8 +165,8 @@ fabric::Allocation fvdf_allocate(const sched::SchedContext& ctx, bool online,
 
   // Volume disposal (Pseudocode 2 lines 24-35): compressing flows use the
   // CPU this round (rate 0, ports left to others); transmitting flows get
-  // the minimum rate that finishes them inside Gamma_C, capped by residual
-  // headroom. Later coflows see what is left, in order.
+  // the minimum rate that finishes them inside the disposal horizon, capped
+  // by residual headroom. Later coflows see what is left, in order.
   for (const CoflowEstimate& est : estimates) {
     for (std::size_t i = 0; i < est.flows.size(); ++i) {
       const fabric::Flow* f = est.flows[i];
@@ -180,8 +175,7 @@ fabric::Allocation fvdf_allocate(const sched::SchedContext& ctx, bool online,
         alloc.set_rate(f->id, 0.0);
         continue;
       }
-      const common::Seconds gamma = std::max(est.gamma, ctx.slice);
-      const common::Bps want = f->volume() / gamma;
+      const common::Bps want = f->volume() / est.dispose;
       const common::Bps r = std::min(want, headroom.available(*f));
       alloc.set_rate(f->id, r);
       headroom.consume(*f, r);

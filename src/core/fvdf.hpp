@@ -3,12 +3,15 @@
 // The offline primitives: per-flow expected FCT (Eq. 7), per-coflow expected
 // CCT (Eq. 8), and the rate assignment r = f.V / Gamma_C with
 // work-conserving backfill. The online wrapper (online.hpp) adds the
-// priority-class starvation protection.
+// priority-class starvation protection and DEADLINE-FVDF's rank policy.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "core/compression_strategy.hpp"
+#include "sched/rank_index.hpp"
 #include "sched/scheduler.hpp"
 
 namespace swallow::core {
@@ -58,29 +61,44 @@ struct FlowEval {
 FlowEval evaluate_flow(const EvalEnv& env, const fabric::Flow& f,
                        bool force_compression);
 
+/// Plain FVDF's band on DEADLINE-FVDF's ladder (online.hpp): best-effort
+/// work in Shortest-(adjusted)-Gamma order.
+inline constexpr std::uint8_t kFvdfBand = 2;
+
+/// Pseudocode 3's online rank key: Gamma_C divided by the priority class.
+inline double fvdf_key(common::Seconds gamma, double priority) {
+  return gamma / std::max(priority, 1.0);
+}
+
 struct CoflowEstimate {
   fabric::Coflow* coflow = nullptr;
-  common::Seconds gamma = 0;           ///< Eq. 8 (raw, before priority)
-  common::Seconds adjusted_gamma = 0;  ///< gamma / coflow->priority
+  common::Seconds gamma = 0;  ///< Eq. 8 (raw, before priority)
+  /// Admission order. time_calculation fills plain FVDF's key (kFvdfBand,
+  /// Gamma_C / priority class); DEADLINE-FVDF's rank policy re-bands it.
+  sched::CoflowRankKey key;
+  /// Each transmitting flow asks for f.V / dispose (Pseudocode 2 line 29):
+  /// max(Gamma_C, slice), stretched by deadline pacing.
+  common::Seconds dispose = 0;
   std::vector<const fabric::Flow*> flows;
   std::vector<bool> beta;  ///< per-flow compression decision, aligned
 };
 
 /// TimeCalculation (Pseudocode 2 lines 12-23): evaluates the compression
-/// strategy for every flow of every coflow, computes Gamma_C, and, when
-/// `online`, divides by the coflow's priority class.
+/// strategy for every flow of every coflow and computes Gamma_C and the
+/// plain FVDF rank key. `compression` false evaluates every flow as if the
+/// context carried no codec (the FVDF-NC ablation); `force_compression`
+/// bypasses the Eq. 3 gate (FVDF-BLIND: compress whenever the payload is
+/// compressible and raw bytes remain).
 std::vector<CoflowEstimate> time_calculation(const sched::SchedContext& ctx,
-                                             bool online,
+                                             bool compression = true,
                                              bool force_compression = false);
 
-/// Full FVDF allocation: coflows ordered Shortest-(adjusted)-Gamma-first;
-/// each flow of an admitted coflow gets rate f.V / Gamma_C (volume
-/// disposal, line 29), compressing flows get rate 0 for the coming slices;
-/// residual capacity backfills later coflows, then a work-conserving pass.
-/// `force_compression` bypasses the Eq. 3 gate (ablation: compress blindly
-/// whenever the payload is compressible and raw bytes remain).
-fabric::Allocation fvdf_allocate(const sched::SchedContext& ctx, bool online,
-                                 bool backfill = true,
-                                 bool force_compression = false);
+/// Volume disposal (Pseudocode 2 lines 24-35) over the estimates sorted by
+/// key: compressing flows get rate 0 for the coming slices, transmitting
+/// flows f.V / dispose capped by residual port headroom, later coflows see
+/// what is left; `backfill` adds the work-conserving pass.
+fabric::Allocation fvdf_allocate(const sched::SchedContext& ctx,
+                                 std::vector<CoflowEstimate> estimates,
+                                 bool backfill = true);
 
 }  // namespace swallow::core

@@ -28,7 +28,9 @@
 namespace swallow::recovery {
 
 // Version 2: frame blocks carry checksum64 (version 1 carried FNV-1a).
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+// Version 3: one FVDF scheduler-state layout for every FVDF variant (round
+// stamps plus the fault-fallback flag; version 2 omitted the flag for FVDF).
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 struct SnapshotMeta {
   std::uint64_t seq = 0;          // checkpoint sequence number

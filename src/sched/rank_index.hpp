@@ -1,18 +1,19 @@
 // Addressable ordered index over coflows: the "indexed priority structure"
 // of the incremental scheduling core (DESIGN.md section 11).
 //
-// Every ranking the schedulers use — FVDF's adjusted Γ_C, SEBF's effective
-// bottleneck time, Aalo's queue level — reduces to the same strict total
-// order: (primary key, arrival, coflow id). RankIndex keeps coflows sorted
-// under that order and supports O(log n) decrease/increase-key for the
-// coflows a dirty set touches, plus ordered iteration for admission. A full
-// sort and an ordered walk of this index therefore produce the *same
-// sequence* (the id tiebreak makes the order unique), which is what lets
-// the incremental paths reproduce the full-recompute allocations
-// bit-for-bit.
+// Every ranking the schedulers use — FVDF's adjusted Γ_C (behind
+// DEADLINE-FVDF's band), SEBF's effective bottleneck time, Aalo's queue
+// level — reduces to the same strict total order: (band, primary key,
+// arrival, coflow id). RankIndex keeps coflows sorted under that order and
+// supports O(log n) decrease/increase-key for the coflows a dirty set
+// touches, plus ordered iteration for admission. A full sort and an
+// ordered walk of this index therefore produce the *same sequence* (the id
+// tiebreak makes the order unique), which is what lets the incremental
+// paths reproduce the full-recompute allocations bit-for-bit.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -23,12 +24,17 @@ namespace swallow::sched {
 /// The shared ranking key. `primary` compares exactly like the schedulers'
 /// historical sort comparators: infinities tie (a down-link coflow ranks by
 /// arrival among its peers), and the id tiebreak makes the order total.
+/// `band` is compared first but declared last, so the three-field keys of
+/// SEBF and AALO leave it at 0: DEADLINE-FVDF's feasibility band (0-3);
+/// plain FVDF ranks every coflow in band 2.
 struct CoflowRankKey {
-  double primary = 0;  ///< adjusted Γ_C / SEBF Γ / Aalo queue level
+  double primary = 0;  ///< adjusted Γ_C or deadline / SEBF Γ / Aalo level
   common::Seconds arrival = 0;
   fabric::CoflowId id = 0;
+  std::uint8_t band = 0;
 
   bool operator<(const CoflowRankKey& o) const {
+    if (band != o.band) return band < o.band;
     if (primary != o.primary) return primary < o.primary;
     if (arrival != o.arrival) return arrival < o.arrival;
     return id < o.id;

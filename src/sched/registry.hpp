@@ -20,7 +20,8 @@ std::unique_ptr<Scheduler> make_baseline(const std::string& name);
 /// All distinct baseline names (aliases excluded).
 std::vector<std::string> baseline_names();
 
-/// The core-library scheduler names (FVDF variants and DEADLINE-FVDF).
+/// The core-library scheduler names: FVDF, its ablations and DEADLINE-FVDF,
+/// all built as one core::FvdfScheduler.
 /// Listed here so error messages and --help can enumerate every scheduler
 /// without this library linking against swallow_core; construction stays in
 /// core::make_fvdf.

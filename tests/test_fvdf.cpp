@@ -4,7 +4,8 @@
 // allocation (Pseudocode 2).
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/compression_strategy.hpp"
 #include "core/fvdf.hpp"
@@ -171,7 +172,7 @@ class FvdfContext : public ::testing::Test {
 
 TEST_F(FvdfContext, TimeCalculationComputesGammaPerCoflow) {
   auto ctx = context(nullptr);
-  const auto estimates = time_calculation(ctx, false);
+  const auto estimates = time_calculation(ctx);
   ASSERT_EQ(estimates.size(), 2u);
   // Without compression Gamma_C = max flow volume / B (up to the slice
   // term which cancels): C1 -> 4, C2 -> 3.
@@ -183,24 +184,31 @@ TEST_F(FvdfContext, TimeCalculationComputesGammaPerCoflow) {
 
 TEST_F(FvdfContext, TimeCalculationEnablesCompression) {
   auto ctx = context(&kUnitCodec);
-  const auto estimates = time_calculation(ctx, false);
+  const auto estimates = time_calculation(ctx);
   for (const auto& est : estimates)
     for (const bool beta : est.beta) EXPECT_TRUE(beta);
   // Gamma shrinks: compressed volume ~ half.
   EXPECT_LT(estimates[0].gamma, 4.0);
 }
 
-TEST_F(FvdfContext, OnlineModeDividesByPriority) {
+TEST_F(FvdfContext, RankKeyDividesGammaByPriority) {
   c1_.priority = 10.0;
   auto ctx = context(nullptr);
-  const auto estimates = time_calculation(ctx, true);
-  EXPECT_NEAR(estimates[0].adjusted_gamma, estimates[0].gamma / 10.0, 1e-9);
-  EXPECT_NEAR(estimates[1].adjusted_gamma, estimates[1].gamma, 1e-9);
+  const auto estimates = time_calculation(ctx);
+  EXPECT_NEAR(estimates[0].key.primary, estimates[0].gamma / 10.0, 1e-9);
+  EXPECT_NEAR(estimates[1].key.primary, estimates[1].gamma, 1e-9);
+  EXPECT_EQ(estimates[0].key.band, kFvdfBand);
+}
+
+TEST_F(FvdfContext, TimeCalculationWithoutCompressionIgnoresCodec) {
+  auto ctx = context(&kUnitCodec);
+  for (const auto& est : time_calculation(ctx, /*compression=*/false))
+    for (const bool beta : est.beta) EXPECT_FALSE(beta);
 }
 
 TEST_F(FvdfContext, AllocateServesShortestGammaFirst) {
   auto ctx = context(nullptr);
-  const fabric::Allocation a = fvdf_allocate(ctx, false);
+  const fabric::Allocation a = fvdf_allocate(ctx, time_calculation(ctx));
   // C2 (Gamma 3) first: its flows get their volume/Gamma rates; port B
   // leftover backfills f1.
   EXPECT_GT(a.rate(3), 0.5);
@@ -210,7 +218,7 @@ TEST_F(FvdfContext, AllocateServesShortestGammaFirst) {
 
 TEST_F(FvdfContext, AllocateGivesCompressingFlowsZeroRate) {
   auto ctx = context(&kUnitCodec);
-  const fabric::Allocation a = fvdf_allocate(ctx, false);
+  const fabric::Allocation a = fvdf_allocate(ctx, time_calculation(ctx));
   for (const auto* f : ctx.flows) {
     EXPECT_TRUE(a.compress(f->id));
     EXPECT_DOUBLE_EQ(a.rate(f->id), 0.0);
@@ -222,29 +230,8 @@ TEST_F(FvdfContext, PriorityInversionFlipsServiceOrder) {
   // served ahead of C2 on the contended ports.
   c1_.priority = 100.0;
   auto ctx = context(nullptr);
-  const fabric::Allocation a = fvdf_allocate(ctx, true);
+  const fabric::Allocation a = fvdf_allocate(ctx, time_calculation(ctx));
   EXPECT_NEAR(a.rate(1), 1.0, 1e-6);  // f1 beats f3 on port B
-}
-
-TEST(Upgrade, MultipliesEveryPriorityByLogBase) {
-  fabric::Coflow a, b;
-  a.priority = 1.0;
-  b.priority = 2.0;
-  sched::SchedContext ctx;
-  ctx.coflows = {&a, &b};
-  upgrade_priorities(ctx);
-  EXPECT_DOUBLE_EQ(a.priority, 1.2);
-  EXPECT_DOUBLE_EQ(b.priority, 2.4);
-  upgrade_priorities(ctx);
-  EXPECT_DOUBLE_EQ(a.priority, 1.44);
-}
-
-TEST(Upgrade, GrowsExponentially) {
-  fabric::Coflow c;
-  sched::SchedContext ctx;
-  ctx.coflows = {&c};
-  for (int i = 0; i < 50; ++i) upgrade_priorities(ctx);
-  EXPECT_NEAR(c.priority, std::pow(1.2, 50), 1e-3);
 }
 
 TEST(FvdfFactory, VariantsAndOptions) {
@@ -252,6 +239,9 @@ TEST(FvdfFactory, VariantsAndOptions) {
   EXPECT_EQ(make_fvdf("fvdf-nc")->name(), "FVDF-NC");
   EXPECT_EQ(make_fvdf("FVDF-NOUPGRADE")->name(), "FVDF-NOUPGRADE");
   EXPECT_EQ(make_fvdf("FVDF-NOBACKFILL")->name(), "FVDF-NOBACKFILL");
+  EXPECT_EQ(make_fvdf("FVDF-BLIND")->name(), "FVDF-BLIND");
+  EXPECT_EQ(make_fvdf("DEADLINE-FVDF")->name(), "DEADLINE-FVDF");
+  EXPECT_EQ(make_fvdf("dfvdf")->name(), "DEADLINE-FVDF");
   EXPECT_THROW(make_fvdf("SEBF"), std::out_of_range);
 }
 
@@ -266,44 +256,59 @@ TEST_F(FvdfContext, ServedCoflowsDoNotAge) {
   EXPECT_DOUBLE_EQ(c2_.priority, 1.0);
 }
 
-TEST(FvdfScheduler, BlockedCoflowAgesUntilServed) {
-  // Two coflows on the same port: the smaller one wins the port, the
-  // larger one is starved and must age by logbase per coflow event.
-  const fabric::Fabric fabric(2, 1.0);
-  const cpu::ConstantCpu cpu(0.0);
-  fabric::Flow small = make_flow(0, 1, 1.0, 0, 1);
-  fabric::Flow big = make_flow(1, 2, 100.0, 0, 1);
-  fabric::Coflow c_small, c_big;
-  c_small.id = 1;
-  c_small.flows = {0};
-  c_big.id = 2;
-  c_big.flows = {1};
-  sched::SchedContext ctx;
-  ctx.fabric = &fabric;
-  ctx.cpu = &cpu;
-  ctx.flows = {&small, &big};
-  ctx.coflows = {&c_small, &c_big};
+TEST(Upgrade, UnservedCoflowAgesEachCoflowEvent) {
+  // The real aging loop, on both scheduling paths (full recompute and the
+  // dirty-tracked incremental path) and under both rank policies: two
+  // coflows share one port, the small one takes all of it, and the starved
+  // big one rises 1 -> 1.2 -> 1.44 per coflow event while the served one
+  // keeps its class.
+  for (const std::string name : {"FVDF", "DEADLINE-FVDF"}) {
+    for (const bool tracked : {false, true}) {
+      SCOPED_TRACE(name + (tracked ? " incremental" : " full"));
+      const fabric::Fabric fabric(2, 1.0);
+      const cpu::ConstantCpu cpu(0.0);
+      std::vector<fabric::Flow> flows = {make_flow(0, 0, 1.0, 0, 1),
+                                         make_flow(1, 1, 100.0, 0, 1)};
+      std::vector<fabric::Coflow> coflows(2);
+      sched::SchedContext ctx;
+      ctx.fabric = &fabric;
+      ctx.cpu = &cpu;
+      for (fabric::CoflowId i = 0; i < 2; ++i) {
+        coflows[i].id = i;
+        coflows[i].flows = {i};
+        ctx.flows.push_back(&flows[i]);
+        ctx.coflows.push_back(&coflows[i]);
+      }
+      sched::DirtyTracker tracker(2);
+      if (tracked) {
+        tracker.bind_flows(flows.data(), flows.size());
+        for (const fabric::Coflow& c : coflows) tracker.coflow_arrived(&c);
+        ctx.tracker = &tracker;
+      }
+      auto sched = make_fvdf(name);
+      for (const double expect : {1.0, 1.2, 1.44}) {
+        const fabric::Allocation a = sched->schedule(ctx);
+        EXPECT_DOUBLE_EQ(coflows[1].priority, expect);
+        EXPECT_DOUBLE_EQ(coflows[0].priority, 1.0);
+        EXPECT_DOUBLE_EQ(a.rate(0), 1.0);
+        EXPECT_DOUBLE_EQ(a.rate(1), 0.0);
+      }
 
-  auto sched = make_fvdf("FVDF");
-  sched->schedule(ctx);  // big gets rate 0, recorded as starved
-  EXPECT_DOUBLE_EQ(c_big.priority, 1.0);
-  sched->schedule(ctx);
-  EXPECT_DOUBLE_EQ(c_big.priority, kPriorityLogBase);
-  EXPECT_DOUBLE_EQ(c_small.priority, 1.0);
-  sched->schedule(ctx);
-  EXPECT_DOUBLE_EQ(c_big.priority, kPriorityLogBase * kPriorityLogBase);
+      // Non-coflow events (flow completions, compression finished) never
+      // age.
+      ctx.coflow_event = false;
+      sched->schedule(ctx);
+      EXPECT_DOUBLE_EQ(coflows[1].priority, 1.44);
 
-  // Non-coflow events (flow completions, compression finished) never age.
-  ctx.coflow_event = false;
-  sched->schedule(ctx);
-  EXPECT_DOUBLE_EQ(c_big.priority, kPriorityLogBase * kPriorityLogBase);
-
-  // The no-upgrade ablation never ages.
-  auto no_upgrade = make_fvdf("FVDF-NOUPGRADE");
-  ctx.coflow_event = true;
-  no_upgrade->schedule(ctx);
-  no_upgrade->schedule(ctx);
-  EXPECT_DOUBLE_EQ(c_big.priority, kPriorityLogBase * kPriorityLogBase);
+      // The no-upgrade ablation never ages.
+      auto no_upgrade = make_fvdf("FVDF-NOUPGRADE");
+      ctx.coflow_event = true;
+      ctx.tracker = nullptr;
+      no_upgrade->schedule(ctx);
+      no_upgrade->schedule(ctx);
+      EXPECT_DOUBLE_EQ(coflows[1].priority, 1.44);
+    }
+  }
 }
 
 TEST_F(FvdfContext, NcVariantIgnoresCodec) {

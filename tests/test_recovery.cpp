@@ -479,6 +479,19 @@ TEST(RecoveryFuzz, SnapshotLoaderSurvivesTruncationAndBitFlips) {
   } catch (const recovery::RecoveryError& e) {
     EXPECT_NE(e.offset(), recovery::RecoveryError::npos);
   }
+
+  // A version-2 file (FVDF scheduler state without the fault-fallback
+  // flag) is skew too, not a payload this build can parse.
+  skewed[12] = 2;
+  spit(mangled, skewed);
+  try {
+    (void)recovery::read_snapshot(mangled);
+    FAIL() << "version-2 snapshot accepted";
+  } catch (const recovery::RecoveryError& e) {
+    EXPECT_NE(std::string(e.what()).find("format version 2"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 /// A snapshot file in the version-1 layout: the current header with
