@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "codec/varint.hpp"
+#include "common/endian.hpp"
 
 namespace swallow::codec {
 
@@ -29,25 +29,14 @@ std::uint64_t read_u64le(std::span<const std::uint8_t> in, std::size_t pos) {
   return v;
 }
 
+using common::load_le;
+
 // XXH64 constants and lane step.
 constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ULL;
 constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
 constexpr std::uint64_t kP3 = 0x165667B19E3779F9ULL;
 constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ULL;
 constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ULL;
-
-template <typename Word>
-std::uint64_t load_le(const std::uint8_t* p) {
-  Word v;
-  std::memcpy(&v, p, sizeof(v));
-  if constexpr (std::endian::native == std::endian::big) {
-    Word r = 0;
-    for (std::size_t i = 0; i < sizeof(Word); ++i)
-      r = static_cast<Word>((r << 8) | ((v >> (8 * i)) & 0xff));
-    v = r;
-  }
-  return v;
-}
 
 std::uint64_t lane(std::uint64_t acc, std::uint64_t word) {
   return std::rotl(acc + word * kP2, 31) * kP1;

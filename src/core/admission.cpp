@@ -331,9 +331,22 @@ void AdmissionController::save_state(recovery::StateWriter& w) const {
   }
 }
 
-void AdmissionController::restore_state(recovery::StateReader& r) {
-  auto restore_side = [&r](std::vector<std::vector<Demand>>& side,
-                           const char* what) {
+void AdmissionController::restore_state(recovery::StateReader& r,
+                                        std::size_t num_coflows,
+                                        std::size_t num_flows) {
+  auto out_of_range = [&r](const char* what) {
+    return recovery::RecoveryError(
+        std::string("admission: snapshot ") + what + " out of range",
+        r.offset());
+  };
+  auto index = [&](std::uint64_t limit, const char* what) {
+    const std::uint64_t v = r.u64();
+    if (v >= limit) throw out_of_range(what);
+    return v;
+  };
+  const std::size_t num_ports = committed_ingress_.size();
+  auto restore_side = [&](std::vector<std::vector<Demand>>& side,
+                          const char* what) {
     const std::uint64_t ports = r.u64();
     if (ports != side.size())
       throw recovery::RecoveryError(
@@ -344,9 +357,10 @@ void AdmissionController::restore_state(recovery::StateReader& r) {
       port.resize(r.count("admission demands"));
       for (Demand& d : port) {
         d.deadline = r.f64();
-        d.coflow = r.u64();
+        if (!std::isfinite(d.deadline)) throw out_of_range("demand deadline");
+        d.coflow = index(num_coflows, "demand coflow");
         d.flows.resize(r.count("admission demand flows"));
-        for (fabric::FlowId& fid : d.flows) fid = r.u64();
+        for (fabric::FlowId& fid : d.flows) fid = index(num_flows, "flow id");
       }
     }
   };
@@ -356,12 +370,14 @@ void AdmissionController::restore_state(recovery::StateReader& r) {
   commitments_.clear();
   const std::uint64_t n = r.count("admission commitments");
   for (std::uint64_t i = 0; i < n; ++i) {
-    const fabric::CoflowId id = r.u64();
+    const fabric::CoflowId id = index(num_coflows, "commitment coflow");
     Commitment c;
     c.ingress.resize(r.count("commitment ingress ports"));
-    for (fabric::PortId& p : c.ingress) p = r.u64();
+    for (fabric::PortId& p : c.ingress)
+      p = static_cast<fabric::PortId>(index(num_ports, "commitment port"));
     c.egress.resize(r.count("commitment egress ports"));
-    for (fabric::PortId& p : c.egress) p = r.u64();
+    for (fabric::PortId& p : c.egress)
+      p = static_cast<fabric::PortId>(index(num_ports, "commitment port"));
     commitments_.emplace(id, std::move(c));
   }
 }

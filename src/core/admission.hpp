@@ -137,9 +137,11 @@ class AdmissionController {
   /// deterministic: driven by the admit/release sequence); the commitment
   /// map is written sorted by coflow id so the bytes are deterministic too.
   /// restore_state throws recovery::RecoveryError when the port count does
-  /// not match this controller's fabric.
+  /// not match this controller's fabric, or when a coflow id, flow id, port
+  /// or deadline lies outside the run (`num_coflows`/`num_flows`).
   void save_state(recovery::StateWriter& w) const;
-  void restore_state(recovery::StateReader& r);
+  void restore_state(recovery::StateReader& r, std::size_t num_coflows,
+                     std::size_t num_flows);
 
  private:
   /// One admitted coflow's promised demand on one port: the flows crossing

@@ -1,8 +1,11 @@
 #include "recovery/journal.hpp"
 
+#include <array>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <span>
 
 #include "codec/frame.hpp"
 
@@ -11,20 +14,23 @@ namespace swallow::recovery {
 namespace {
 
 constexpr std::size_t kFrameHeader = 4 + 8;  // u32 len + u64 checksum
-// A record payload is seq,type,time,a,b,x — 41 bytes today. Anything
-// wildly larger is corruption, not a future format; cap it so a flipped
-// length byte cannot drive a giant allocation.
+/// Payload bytes of one record: seq, type, time, a, b, x.
+constexpr std::size_t kRecordBytes = 8 + 1 + 8 + 8 + 8 + 8;
+// A record payload is kRecordBytes (41) today. Anything wildly larger is
+// corruption, not a future format; cap it so a flipped length byte cannot
+// drive a giant allocation.
 constexpr std::uint32_t kMaxPayload = 4096;
 
-}  // namespace
-
-void encode_record(StateWriter& w, const JournalRecord& rec) {
-  w.u64(rec.seq);
-  w.u8(static_cast<std::uint8_t>(rec.type));
-  w.f64(rec.time);
-  w.u64(rec.a);
-  w.u64(rec.b);
-  w.f64(rec.x);
+/// Serializes one record's payload (framing is append's job).
+void encode_record(std::span<std::uint8_t, kRecordBytes> out,
+                   const JournalRecord& rec) {
+  std::uint8_t* p = out.data();
+  common::store_le(p, rec.seq);
+  p[8] = static_cast<std::uint8_t>(rec.type);
+  common::store_le(p + 9, std::bit_cast<std::uint64_t>(rec.time));
+  common::store_le(p + 17, rec.a);
+  common::store_le(p + 25, rec.b);
+  common::store_le(p + 33, std::bit_cast<std::uint64_t>(rec.x));
 }
 
 JournalRecord decode_record(StateReader& r) {
@@ -42,6 +48,8 @@ JournalRecord decode_record(StateReader& r) {
   rec.x = r.f64();
   return rec;
 }
+
+}  // namespace
 
 const char* journal_type_name(JournalType type) {
   switch (type) {
@@ -69,13 +77,12 @@ void JournalWriter::open(const std::string& path) {
 
 void JournalWriter::append(const JournalRecord& rec) {
   if (!file_) throw RecoveryError("journal: append on closed writer");
-  StateWriter payload;
+  // Length, checksum and payload go out as one stack-built frame.
+  std::array<std::uint8_t, kFrameHeader + kRecordBytes> buf;
+  const auto payload = std::span(buf).subspan<kFrameHeader>();
   encode_record(payload, rec);
-  StateWriter framed;
-  framed.u32(static_cast<std::uint32_t>(payload.size()));
-  framed.u64(codec::fnv1a64(payload.buffer()));
-  framed.bytes(payload.buffer());
-  const auto& buf = framed.buffer();
+  common::store_le(buf.data(), static_cast<std::uint32_t>(kRecordBytes));
+  common::store_le(buf.data() + 4, codec::fnv1a64(payload));
   if (std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size() ||
       std::fflush(file_) != 0)
     throw RecoveryError("journal: write to '" + path_ +

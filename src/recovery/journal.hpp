@@ -93,11 +93,6 @@ JournalScan read_journal(const std::string& path);
 /// failure.
 void truncate_torn_tail(const std::string& path, const JournalScan& scan);
 
-/// Serializes one record into `w` / parses one from `r` (payload bytes
-/// only; framing is the writer/reader's job). Exposed for tests.
-void encode_record(StateWriter& w, const JournalRecord& rec);
-JournalRecord decode_record(StateReader& r);
-
 const char* journal_type_name(JournalType type);
 
 }  // namespace swallow::recovery

@@ -1,11 +1,14 @@
 // Versioned, checksummed snapshot files.
 //
 // A snapshot wraps an opaque state payload (produced by the engine's or
-// the runtime master's save_state) in the codec frame container, which
-// gives per-block checksum64 guards and transparent compression for free:
+// the runtime master's save_state) in a stored codec frame: null-codec
+// blocks, each guarded by a checksum64 of its bytes.
 //
 //   'S''W''S''N' | u64le seq | u32le version | u64le config_fingerprint |
-//   codec::frame(payload)
+//   codec::frame(null codec, payload)
+//
+// The frame is stored, not LZ-compressed: Eq. 3's gate R(1 - xi) > B fails
+// for checkpoint writes (DESIGN.md section 13).
 //
 // The config fingerprint hashes everything that must match between the
 // saving and restoring run (trace, scheduler, SimConfig knobs); restoring
@@ -30,7 +33,9 @@ namespace swallow::recovery {
 // Version 2: frame blocks carry checksum64 (version 1 carried FNV-1a).
 // Version 3: one FVDF scheduler-state layout for every FVDF variant (round
 // stamps plus the fault-fallback flag; version 2 omitted the flag for FVDF).
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+// Version 4: stored frames, and an engine payload bounded by the arrival
+// cursor (one record per arrived coflow, its flows inline).
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 struct SnapshotMeta {
   std::uint64_t seq = 0;          // checkpoint sequence number

@@ -4,10 +4,13 @@
 // byte stream. Doubles travel as their IEEE-754 bit patterns (bit_cast to
 // u64), so every simulated-time instant, byte pool and rate restores to
 // the exact value it was saved from — the foundation of the kill-anywhere
-// byte-identity contract (DESIGN.md section 13). The reader is fully
-// bounds-checked: any truncated, oversized or type-skewed input surfaces
-// as a typed RecoveryError carrying the byte offset, never as UB (the
-// loader fuzz tests in test_recovery run this under ASan/UBSan).
+// byte-identity contract (DESIGN.md section 13). Each primitive moves as
+// one memcpy of its little-endian image (common/endian.hpp);
+// test_recovery pins the bytes, since the journal format carries no
+// version. The reader is fully bounds-checked: any truncated, oversized
+// or type-skewed input surfaces as a typed RecoveryError carrying the byte
+// offset, never as UB (the loader fuzz tests in test_recovery run this
+// under ASan/UBSan).
 #pragma once
 
 #include <bit>
@@ -16,6 +19,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "common/endian.hpp"
 
 namespace swallow::recovery {
 
@@ -46,12 +51,8 @@ class RecoveryError : public std::runtime_error {
 class StateWriter {
  public:
   void u8(std::uint8_t v) { out_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back((v >> (8 * i)) & 0xff);
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back((v >> (8 * i)) & 0xff);
-  }
+  void u32(std::uint32_t v) { common::store_le(grow(sizeof v), v); }
+  void u64(std::uint64_t v) { common::store_le(grow(sizeof v), v); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(const std::string& s) {
@@ -61,12 +62,19 @@ class StateWriter {
   void bytes(std::span<const std::uint8_t> data) {
     out_.insert(out_.end(), data.begin(), data.end());
   }
+  void reserve(std::size_t n) { out_.reserve(n); }
 
   const std::vector<std::uint8_t>& buffer() const { return out_; }
   std::vector<std::uint8_t> take() { return std::move(out_); }
   std::size_t size() const { return out_.size(); }
 
  private:
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    return out_.data() + at;
+  }
+
   std::vector<std::uint8_t> out_;
 };
 
@@ -82,17 +90,13 @@ class StateReader {
   }
   std::uint32_t u32() {
     need(4, "u32");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
+    const auto v = common::load_le<std::uint32_t>(data_.data() + pos_);
     pos_ += 4;
     return v;
   }
   std::uint64_t u64() {
     need(8, "u64");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
+    const auto v = common::load_le<std::uint64_t>(data_.data() + pos_);
     pos_ += 8;
     return v;
   }

@@ -754,6 +754,7 @@ class Engine {
   std::uint64_t journal_seq_ = 0;
   std::uint64_t event_count_ = 0;    // journaled events this *process*
   std::uint64_t snap_attempts_ = 0;  // snapshot writes this *process*
+  std::size_t last_snapshot_bytes_ = 0;  // payload size, to presize the next
   std::uint64_t fingerprint_ = 0;
   std::uint64_t ckpt_every_ = 0;
   std::uint64_t restored_seq_ = 0;
@@ -932,7 +933,9 @@ void Engine::checkpoint(common::Seconds t) {
   // previous snapshot's replay can still verify end-to-end.
   journal_event(recovery::JournalType::kCheckpoint, t, round);
   recovery::StateWriter w;
+  w.reserve(last_snapshot_bytes_);
   save_state(w);
+  last_snapshot_bytes_ = w.size();
   ++snap_attempts_;
   struct CrashingHook : recovery::SnapshotCrashHook {
     Engine* engine = nullptr;
@@ -962,8 +965,6 @@ void Engine::save_state(recovery::StateWriter& w) const {
   w.u64(journal_seq_);
   w.u64(round);
   w.u64(slices);
-  w.u64(completed);
-  w.u64(rejected);
   w.u64(next_arrival);
   w.u64(static_cast<std::uint64_t>(stalled));
   w.boolean(need_schedule);
@@ -974,37 +975,29 @@ void Engine::save_state(recovery::StateWriter& w) const {
   w.f64(window_sent_base);
   w.f64(next_capacity_change);
 
-  w.u32(tag4('F', 'L', 'W', 'S'));
-  w.u64(flows.size());
-  for (const fabric::Flow& f : flows) {
-    w.f64(f.raw_remaining);
-    w.f64(f.compressed_pending);
-    w.f64(f.sent);
-    w.f64(f.sent_compressed);
-    w.f64(f.completion);
-    w.boolean(f.compress_enabled);
-  }
-
-  w.u32(tag4('R', 'A', 'T', 'E'));
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    w.f64(rate[i]);
-    w.u8(static_cast<std::uint8_t>(compress[i]));
-    w.u8(static_cast<std::uint8_t>(decided[i]));
-  }
-
-  w.u32(tag4('C', 'O', 'F', 'L'));
-  w.u64(coflows.size());
-  for (const SimCoflow& sc : coflows) {
+  // One record per arrived coflow, in arrival order, its flows inline.
+  // Coflows at or past the arrival cursor still hold their trace-initial
+  // state, which the freshly built restoring engine already has. The
+  // coflow's completion bookkeeping, the completed/rejected counters and
+  // the active set are functions of these records (restore_state).
+  w.u32(tag4('A', 'R', 'R', 'V'));
+  for (std::size_t i = 0; i < next_arrival; ++i) {
+    const SimCoflow& sc = coflows[arrival_order[i]];
     w.f64(sc.state.priority);
-    w.f64(sc.state.completion);
     w.u8(static_cast<std::uint8_t>(sc.state.slo));
-    w.u64(sc.unfinished);
-    w.f64(sc.completion_max);
+    for (const fabric::FlowId fid : sc.state.flows) {
+      const fabric::Flow& f = flows[fid];
+      w.f64(f.raw_remaining);
+      w.f64(f.compressed_pending);
+      w.f64(f.sent);
+      w.f64(f.sent_compressed);
+      w.f64(f.completion);
+      w.boolean(f.compress_enabled);
+      w.f64(rate[fid]);
+      w.u8(static_cast<std::uint8_t>(compress[fid]));
+      w.u8(static_cast<std::uint8_t>(decided[fid]));
+    }
   }
-
-  w.u32(tag4('A', 'C', 'T', 'V'));
-  w.u64(active.size());
-  for (const std::size_t ci : active) w.u64(ci);
 
   w.u32(tag4('E', 'X', 'P', 'H'));
   w.u64(expiry.size());
@@ -1054,91 +1047,109 @@ void Engine::save_state(recovery::StateWriter& w) const {
 }
 
 void Engine::restore_state(recovery::StateReader& r) {
+  // Restore always starts from a freshly built Engine: coflows past the
+  // snapshot's arrival cursor keep their trace-initial state. Every value
+  // is checked against the domain the engine itself can produce, so a
+  // payload that is damaged behind valid frame checksums fails here as a
+  // typed error instead of steering the run into undefined territory.
+  auto bad = [&r](const std::string& what) {
+    return recovery::RecoveryError("recovery: snapshot " + what, r.offset());
+  };
+  constexpr double kMaxFinite = std::numeric_limits<double>::max();
+  auto f64_in = [&](double lo, double hi, const char* what) {
+    const double v = r.f64();
+    if (!(v >= lo && v <= hi))
+      throw bad(std::string(what) + " out of range");
+    return v;
+  };
+  auto flag = [&](const char* what) -> char {
+    const std::uint8_t v = r.u8();
+    if (v > 1) throw bad(std::string(what) + " flag is not 0/1");
+    return static_cast<char>(v);
+  };
+
   expect_tag(r, tag4('E', 'N', 'G', 'N'), "ENGN");
   journal_seq_ = r.u64();
   round = r.u64();
   slices = r.u64();
-  completed = r.u64();
-  rejected = r.u64();
   next_arrival = r.u64();
   if (next_arrival > arrival_order.size())
-    throw recovery::RecoveryError(
-        "recovery: snapshot arrival cursor out of range");
-  stalled = static_cast<std::int64_t>(r.u64());
+    throw bad("arrival cursor out of range");
+  const std::uint64_t snap_stalled = r.u64();
+  if (snap_stalled > static_cast<std::uint64_t>(kMaxStalledSlices))
+    throw bad("stall counter out of range");
+  stalled = static_cast<std::int64_t>(snap_stalled);
   need_schedule = r.boolean();
   coflow_event = r.boolean();
-  seg_base = r.f64();
+  // The fresh engine's seg_base and window_start are the first arrival;
+  // both only ever advance from there, and never past the current
+  // boundary, which never passes max_time.
+  seg_base = f64_in(seg_base, config.max_time, "segment base");
   seg_j = r.u64();
-  window_start = r.f64();
-  window_sent_base = r.f64();
-  next_capacity_change = r.f64();
+  const common::Seconds now = slice_time(seg_j);
+  if (!(now >= seg_base && now <= config.max_time))
+    throw bad("segment cursor out of range");
+  window_start = f64_in(window_start, now, "utilization window");
+  window_sent_base = f64_in(0, kMaxFinite, "utilization byte base");
+  next_capacity_change = f64_in(-kMaxFinite,
+                                std::numeric_limits<double>::infinity(),
+                                "next capacity change");
 
-  expect_tag(r, tag4('F', 'L', 'W', 'S'), "FLWS");
-  if (r.u64() != flows.size())
-    throw recovery::RecoveryError("recovery: snapshot flow count mismatch");
-  for (fabric::Flow& f : flows) {
-    f.raw_remaining = r.f64();
-    f.compressed_pending = r.f64();
-    f.sent = r.f64();
-    f.sent_compressed = r.f64();
-    f.completion = r.f64();
-    f.compress_enabled = r.boolean();
-  }
-
-  expect_tag(r, tag4('R', 'A', 'T', 'E'), "RATE");
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    rate[i] = r.f64();
-    compress[i] = static_cast<char>(r.u8());
-    decided[i] = static_cast<char>(r.u8());
-  }
-
-  expect_tag(r, tag4('C', 'O', 'F', 'L'), "COFL");
-  if (r.u64() != coflows.size())
-    throw recovery::RecoveryError("recovery: snapshot coflow count mismatch");
-  for (SimCoflow& sc : coflows) {
-    sc.state.priority = r.f64();
-    sc.state.completion = r.f64();
+  expect_tag(r, tag4('A', 'R', 'R', 'V'), "ARRV");
+  completed = 0;
+  rejected = 0;
+  active.clear();
+  for (std::size_t i = 0; i < next_arrival; ++i) {
+    const std::size_t ci = arrival_order[i];
+    SimCoflow& sc = coflows[ci];
+    sc.state.priority = f64_in(1.0, kMaxFinite, "coflow priority");
     const std::uint8_t slo = r.u8();
     if (slo > static_cast<std::uint8_t>(fabric::SloClass::kRejected))
-      throw recovery::RecoveryError(
-          "recovery: snapshot carries an invalid SLO class");
+      throw bad("carries an invalid SLO class");
     sc.state.slo = static_cast<fabric::SloClass>(slo);
-    sc.unfinished = r.u64();
-    if (sc.unfinished > sc.state.flows.size())
-      throw recovery::RecoveryError(
-          "recovery: snapshot unfinished count exceeds coflow width");
-    sc.completion_max = r.f64();
-  }
-
-  expect_tag(r, tag4('A', 'C', 'T', 'V'), "ACTV");
-  active.resize(r.count("active coflow"));
-  for (std::size_t& ci : active) {
-    ci = r.u64();
-    if (ci >= coflows.size())
-      throw recovery::RecoveryError(
-          "recovery: snapshot active index out of range");
+    for (const fabric::FlowId fid : sc.state.flows) {
+      fabric::Flow& f = flows[fid];
+      f.raw_remaining = f64_in(0, kMaxFinite, "flow raw pool");
+      f.compressed_pending = f64_in(0, kMaxFinite, "flow compressed pool");
+      f.sent = f64_in(0, kMaxFinite, "flow sent bytes");
+      f.sent_compressed = f64_in(0, kMaxFinite, "flow sent bytes");
+      f.completion =
+          f64_in(fabric::kNeverCompleted, kMaxFinite, "flow completion");
+      f.compress_enabled = r.boolean();
+      rate[fid] = f64_in(0, kMaxFinite, "flow rate");
+      compress[fid] = flag("compress");
+      decided[fid] = flag("decided");
+      // finalize_flow's bookkeeping, rebuilt from the flows it stamped.
+      if (f.completed()) {
+        sc.completion_max = std::max(sc.completion_max, f.completion);
+        --sc.unfinished;
+      }
+    }
+    if (sc.unfinished == 0 && !sc.state.flows.empty())
+      sc.state.completion = sc.completion_max;
+    const bool is_rejected = sc.state.slo == fabric::SloClass::kRejected;
+    completed += sc.state.completed();
+    rejected += is_rejected;
+    // Arrivals append to the active set and every removal keeps its
+    // order, so it is always the live arrived coflows in arrival order.
+    if (!sc.state.completed() && !is_rejected) active.push_back(ci);
   }
 
   expect_tag(r, tag4('E', 'X', 'P', 'H'), "EXPH");
   expiry.resize(r.count("expiry heap"));
   for (ExpiryEntry& e : expiry) {
-    e.first = r.f64();
+    e.first = f64_in(-kMaxFinite, kMaxFinite, "expiry deadline");
     e.second = r.u64();
     if (e.second >= coflows.size())
-      throw recovery::RecoveryError(
-          "recovery: snapshot expiry index out of range");
+      throw bad("expiry index out of range");
   }
+  if (!std::is_heap(expiry.begin(), expiry.end(), std::greater<ExpiryEntry>{}))
+    throw bad("expiry heap is not a heap");
 
   expect_tag(r, tag4('F', 'A', 'B', 'R'), "FABR");
-  if (r.u64() != live.num_ports())
-    throw recovery::RecoveryError("recovery: snapshot port count mismatch");
-  for (fabric::PortId p = 0; p < live.num_ports(); ++p) {
-    const double m = r.f64();
-    if (!(m >= 0.0 && m <= 1.0))
-      throw recovery::RecoveryError(
-          "recovery: snapshot port multiplier out of range");
-    live.set_port_multiplier(p, m);
-  }
+  if (r.u64() != live.num_ports()) throw bad("port count mismatch");
+  for (fabric::PortId p = 0; p < live.num_ports(); ++p)
+    live.set_port_multiplier(p, f64_in(0.0, 1.0, "port multiplier"));
 
   expect_tag(r, tag4('U', 'T', 'I', 'L'), "UTIL");
   samples.resize(r.count("utilization sample"));
@@ -1165,23 +1176,18 @@ void Engine::restore_state(recovery::StateReader& r) {
   sstats.repriced_demoted = r.u64();
 
   expect_tag(r, tag4('A', 'D', 'M', 'S'), "ADMS");
-  if (r.boolean() != admit_on)
-    throw recovery::RecoveryError(
-        "recovery: snapshot admission layer on/off mismatch");
-  if (admit_on) admission.restore_state(r);
+  if (r.boolean() != admit_on) throw bad("admission layer on/off mismatch");
+  if (admit_on) admission.restore_state(r, coflows.size(), flows.size());
 
   expect_tag(r, tag4('S', 'C', 'H', 'D'), "SCHD");
   const std::string snap_sched = r.str();
   if (snap_sched != sched.name())
-    throw recovery::RecoveryError("recovery: snapshot was taken under " +
-                                  snap_sched + ", restoring under " +
-                                  sched.name());
+    throw bad("was taken under " + snap_sched + ", restoring under " +
+              sched.name());
   sched.restore_state(r);
 
   expect_tag(r, tag4('E', 'N', 'D', '!'), "END!");
-  if (!r.at_end())
-    throw recovery::RecoveryError(
-        "recovery: trailing bytes after snapshot payload", r.offset());
+  if (!r.at_end()) throw bad("has trailing bytes after its payload");
 
   // Snapshots are only cut at fold points: the segment tables restart
   // empty and the next loop iteration re-snapshots at the same boundary

@@ -8,21 +8,28 @@
 // modes, and with the degradation + deadline/admission layers on. The
 // loader fuzz tests additionally pin that corrupted snapshot/journal bytes
 // surface as typed RecoveryError (never UB — CI runs this under
-// ASan/UBSan/TSan).
+// ASan/UBSan/TSan), also when the damage sits in the engine payload behind
+// valid frame checksums. The format tests pin the unversioned journal's
+// bytes, and the arrival-bound test that a snapshot costs only what has
+// arrived.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "codec/codec_model.hpp"
 #include "codec/frame.hpp"
 #include "codec/null_codec.hpp"
 #include "codec/varint.hpp"
+#include "common/endian.hpp"
 #include "cpu/cpu_model.hpp"
 #include "recovery/journal.hpp"
 #include "recovery/recovery.hpp"
@@ -520,6 +527,22 @@ std::vector<std::uint8_t> version1_snapshot(
   return out.take();
 }
 
+/// A snapshot file in the version-3 layout: the current header with
+/// version 3, and an SWF1 frame of swlz-fast blocks with checksum64, as
+/// version 3 wrote it.
+std::vector<std::uint8_t> version3_snapshot(
+    std::uint64_t seq, std::uint64_t fingerprint,
+    std::span<const std::uint8_t> payload) {
+  recovery::StateWriter out;
+  for (const char c : {'S', 'W', 'S', 'N'}) out.u8(static_cast<std::uint8_t>(c));
+  out.u64(seq);
+  out.u32(3);
+  out.u64(fingerprint);
+  out.bytes(codec::frame_compress(
+      *codec::make_codec(codec::CodecKind::kLzFast), payload));
+  return out.take();
+}
+
 TEST(RecoveryGuard, VersionOneSnapshotIsSkewAndLoaderFallsBackPastIt) {
   TempDir dir;
   recovery::StateWriter payload;
@@ -545,6 +568,25 @@ TEST(RecoveryGuard, VersionOneSnapshotIsSkewAndLoaderFallsBackPastIt) {
     FAIL() << "version-1 snapshot accepted";
   } catch (const recovery::RecoveryError& e) {
     EXPECT_NE(std::string(e.what()).find("format version 1"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // A still newer snapshot left behind by a version-3 build. Its frame is
+  // intact (LZ blocks, valid checksum64s); only the version field marks
+  // it as a layout this build does not read.
+  const std::vector<std::uint8_t> v3 =
+      version3_snapshot(6, meta.fingerprint, payload.buffer());
+  EXPECT_EQ(codec::frame_decompress(
+                std::span<const std::uint8_t>(v3).subspan(/*header=*/24)),
+            payload.buffer());
+  const std::string v3_path = recovery::snapshot_path(dir.str(), 6);
+  spit(v3_path, v3);
+  try {
+    (void)recovery::read_snapshot(v3_path, meta.fingerprint);
+    FAIL() << "version-3 snapshot accepted";
+  } catch (const recovery::RecoveryError& e) {
+    EXPECT_NE(std::string(e.what()).find("format version 3"),
               std::string::npos)
         << e.what();
   }
@@ -620,6 +662,94 @@ TEST(RecoveryFuzz, StateReaderRejectsImplausibleCounts) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Encoding pins: the journal format is unversioned, so its bytes are fixed
+// ---------------------------------------------------------------------------
+
+template <typename Write>
+std::vector<std::uint8_t> bytes_of(Write&& write) {
+  recovery::StateWriter w;
+  write(w);
+  return w.take();
+}
+
+TEST(RecoveryFormat, StateWriterPrimitivesHaveKnownBytes) {
+  using Bytes = std::vector<std::uint8_t>;
+  using W = recovery::StateWriter;
+  EXPECT_EQ(bytes_of([](W& w) { w.u8(0xa5); }), Bytes({0xa5}));
+  EXPECT_EQ(bytes_of([](W& w) { w.u32(0x01020304u); }),
+            Bytes({0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(bytes_of([](W& w) { w.u64(0x0102030405060708ull); }),
+            Bytes({0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(bytes_of([](W& w) { w.f64(1.0); }),
+            Bytes({0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f}));
+  EXPECT_EQ(bytes_of([](W& w) { w.f64(-0.0); }),
+            Bytes({0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80}));
+  const double nan = std::bit_cast<double>(0x7ff8000000000123ull);
+  EXPECT_EQ(bytes_of([&](W& w) { w.f64(nan); }),
+            Bytes({0x23, 0x01, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x7f}));
+  EXPECT_EQ(bytes_of([](W& w) { w.boolean(true); w.boolean(false); }),
+            Bytes({0x01, 0x00}));
+  EXPECT_EQ(bytes_of([](W& w) { w.str("swl"); }),
+            Bytes({0x03, 0x00, 0x00, 0x00, 's', 'w', 'l'}));
+
+  // The reader inverts every primitive bit for bit, NaN payload and the
+  // sign of zero included.
+  const Bytes all = bytes_of([&](W& w) {
+    w.u8(0xa5);
+    w.u32(0x01020304u);
+    w.u64(0x0102030405060708ull);
+    w.f64(-0.0);
+    w.f64(nan);
+    w.boolean(true);
+    w.str("swl");
+  });
+  recovery::StateReader r(all);
+  EXPECT_EQ(r.u8(), 0xa5);
+  EXPECT_EQ(r.u32(), 0x01020304u);
+  EXPECT_EQ(r.u64(), 0x0102030405060708ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), 0x8000000000000000ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), 0x7ff8000000000123ull);
+  EXPECT_TRUE(r.boolean());
+  EXPECT_EQ(r.str(), "swl");
+  EXPECT_TRUE(r.at_end());
+}
+
+TEST(RecoveryFormat, JournalRecordFrameHasKnownBytes) {
+  TempDir dir;
+  recovery::JournalRecord rec;
+  rec.seq = 0x0102;
+  rec.type = recovery::JournalType::kCapacityChange;
+  rec.time = 0.5;
+  rec.a = 7;
+  rec.b = 0;
+  rec.x = 0.25;
+  {
+    recovery::JournalWriter w;
+    w.open(dir.journal());
+    w.append(rec);
+  }
+  const std::vector<std::uint8_t> want = {
+      // u32le payload length 41 | u64le FNV-1a 64 of the payload
+      0x29, 0x00, 0x00, 0x00, 0x8b, 0x23, 0x28, 0x07, 0x3a, 0xb9, 0x39, 0xa8,
+      // seq
+      0x02, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // type
+      0x04,
+      // time = 0.5
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,
+      // a = 7
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // b = 0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // x = 0.25
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f};
+  EXPECT_EQ(slurp(dir.journal()), want);
+  const recovery::JournalScan scan = recovery::read_journal(dir.journal());
+  ASSERT_EQ(scan.records.size(), 1u);
+  EXPECT_EQ(scan.records[0], rec);
+}
+
 TEST(RecoveryGuard, SchedulerMismatchIsATypedError) {
   const workload::Trace trace = make_trace(89, 10, 6);
   const fabric::Fabric fabric(trace.num_ports, common::mbps(150));
@@ -641,6 +771,169 @@ TEST(RecoveryGuard, SchedulerMismatchIsATypedError) {
   config.recovery.restore = true;
   EXPECT_THROW(run_once(trace, fabric, cpu, "FIFO", config),
                recovery::RecoveryError);
+}
+
+// ---------------------------------------------------------------------------
+// Engine payload: bounded by the arrival cursor, hardened behind checksums
+// ---------------------------------------------------------------------------
+
+/// Byte offset of the arrival cursor in an engine payload: tag, then the
+/// journal cursor, round and slice counters.
+constexpr std::size_t kArrivalCursorOffset = 4 + 3 * 8;
+
+std::uint64_t arrival_cursor(const std::vector<std::uint8_t>& payload) {
+  recovery::StateReader r(payload);
+  for (std::size_t i = 0; i < kArrivalCursorOffset; ++i) r.u8();
+  return r.u64();
+}
+
+/// Offset of the first occurrence of a four-byte section tag.
+std::size_t tag_offset(const std::vector<std::uint8_t>& payload,
+                       std::string_view tag) {
+  const auto it =
+      std::search(payload.begin(), payload.end(), tag.begin(), tag.end());
+  EXPECT_NE(it, payload.end()) << "no section " << tag;
+  return static_cast<std::size_t>(it - payload.begin());
+}
+
+/// Snapshot files of `dir`, oldest first.
+std::vector<std::string> snapshot_files(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    if (e.path().extension() == ".swsnap") out.push_back(e.path().string());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Deadlines, admission and a degrading fabric: every engine section and
+/// the admission tables carry state.
+sim::SimConfig slo_config() {
+  sim::SimConfig config;
+  config.codec = &codec::default_codec_model();
+  config.admission.enabled = true;
+  config.degradation.rate = 0.1;
+  config.degradation.seed = 5;
+  config.utilization_sample_period = 0.5;
+  return config;
+}
+
+TEST(RecoveryArrivalBound, EarliestSnapshotRestoresByteIdentical) {
+  const workload::Trace trace = make_trace(101, 40, 6, /*deadline=*/0.5);
+  const fabric::Fabric fabric(trace.num_ports, common::mbps(150));
+  const cpu::ConstantCpu cpu(0.85);
+  sim::SimConfig config = slo_config();
+  const sim::Metrics clean =
+      run_once(trace, fabric, cpu, "DEADLINE-FVDF", config);
+  ASSERT_GT(clean.slo.with_deadline, 0u);
+  ASSERT_GT(clean.degradation.capacity_changes, 0u);
+
+  TempDir dir;
+  config.recovery.dir = dir.str();
+  config.recovery.checkpoint_every = 1;
+  run_once(trace, fabric, cpu, "DEADLINE-FVDF", config);
+  const std::vector<std::string> snaps = snapshot_files(dir.str());
+  ASSERT_GT(snaps.size(), 2u);
+  const recovery::LoadedSnapshot first = recovery::read_snapshot(snaps.front());
+  const recovery::LoadedSnapshot last = recovery::read_snapshot(snaps.back());
+  ASSERT_EQ(arrival_cursor(first.payload), 1u);
+  EXPECT_EQ(arrival_cursor(last.payload), trace.coflows.size());
+  // Unarrived coflows cost nothing: the payload grows with the cursor.
+  EXPECT_LT(first.payload.size() * 10, last.payload.size())
+      << "first " << first.payload.size() << " B, last "
+      << last.payload.size() << " B";
+
+  // Only the earliest snapshot survives; the restored run rebuilds every
+  // later coflow from the trace and must still match bit for bit.
+  for (std::size_t i = 1; i < snaps.size(); ++i)
+    std::filesystem::remove(snaps[i]);
+  config.recovery.restore = true;
+  const sim::Metrics restored =
+      run_once(trace, fabric, cpu, "DEADLINE-FVDF", config);
+  expect_identical(restored, clean, "restore from arrival cursor 1");
+}
+
+TEST(RecoveryFuzz, EnginePayloadDamageBehindValidChecksumsIsTyped) {
+  const workload::Trace trace = make_trace(103, 16, 6, /*deadline=*/0.5);
+  const fabric::Fabric fabric(trace.num_ports, common::mbps(150));
+  const cpu::ConstantCpu cpu(0.85);
+  sim::SimConfig config = slo_config();
+  // Bounds how far a damaged but in-range state can push simulated time,
+  // and so how many utilization windows it can open.
+  config.max_time = 1e4;
+  config.recovery.checkpoint_every = 1;
+
+  TempDir source;
+  config.recovery.dir = source.str();
+  const sim::Metrics clean =
+      run_once(trace, fabric, cpu, "DEADLINE-FVDF", config);
+  const std::vector<std::string> snaps = snapshot_files(source.str());
+  ASSERT_GT(snaps.size(), 4u);
+  const recovery::LoadedSnapshot snap =
+      recovery::read_snapshot(snaps[snaps.size() / 2]);
+  const std::vector<std::uint8_t>& valid = snap.payload;
+  const std::vector<std::uint8_t> journal = slurp(source.journal());
+
+  // Re-frames `payload` under valid checksums next to the run's journal and
+  // restores from it; nullopt when the restore fails with a RecoveryError.
+  // Out-of-domain damage fails restore_state; in-domain damage that changes
+  // the event stream fails the journal cross-check. Any other exception
+  // fails the test, and the sanitizer jobs catch UB.
+  auto restore_from = [&](const std::vector<std::uint8_t>& payload)
+      -> std::optional<sim::Metrics> {
+    TempDir dir;
+    spit(dir.journal(), journal);
+    recovery::write_snapshot(dir.str(), snap.meta, payload);
+    sim::SimConfig c = config;
+    c.recovery.dir = dir.str();
+    c.recovery.restore = true;
+    try {
+      return run_once(trace, fabric, cpu, "DEADLINE-FVDF", c);
+    } catch (const recovery::RecoveryError&) {
+      return std::nullopt;
+    }
+  };
+
+  const std::optional<sim::Metrics> undamaged = restore_from(valid);
+  ASSERT_TRUE(undamaged.has_value());
+  expect_identical(*undamaged, clean, "undamaged payload");
+
+  // Truncations: every field is read, so any cut is a typed error.
+  for (std::size_t len = 0; len < valid.size();
+       len += std::max<std::size_t>(1, valid.size() / 64))
+    EXPECT_FALSE(restore_from({valid.begin(), valid.begin() + len}))
+        << "truncated to " << len;
+
+  // Bit flips anywhere in the payload: restored (the flip may only touch
+  // output-only values) or rejected, nothing else.
+  std::size_t rejected = 0;
+  for (std::size_t off = 0; off < valid.size();
+       off += std::max<std::size_t>(1, valid.size() / 160)) {
+    std::vector<std::uint8_t> flipped = valid;
+    flipped[off] ^= std::uint8_t(1u << (off % 8));
+    rejected += !restore_from(flipped).has_value();
+  }
+  EXPECT_GT(rejected, 0u);
+
+  // An arrival cursor past the trace.
+  for (const std::uint64_t cursor :
+       {std::uint64_t{trace.coflows.size() + 1}, ~std::uint64_t{0}}) {
+    std::vector<std::uint8_t> bad = valid;
+    common::store_le(bad.data() + kArrivalCursorOffset, cursor);
+    EXPECT_FALSE(restore_from(bad)) << "arrival cursor " << cursor;
+  }
+
+  // Inflated counts: expiry heap, utilization samples, ports.
+  for (const std::string_view tag : {"EXPH", "UTIL", "FABR"}) {
+    const std::size_t at = tag_offset(valid, tag) + 4;
+    const auto count = common::load_le<std::uint64_t>(valid.data() + at);
+    for (const std::uint64_t inflated :
+         {count + 1, count + 1000, std::uint64_t{1} << 40,
+          ~std::uint64_t{0}}) {
+      std::vector<std::uint8_t> bad = valid;
+      common::store_le(bad.data() + at, inflated);
+      EXPECT_FALSE(restore_from(bad)) << tag << " count " << inflated;
+    }
+  }
 }
 
 }  // namespace
