@@ -24,11 +24,11 @@ common::Seconds expected_fct(const fabric::Flow& flow, bool beta,
                              double cpu_headroom, common::Bps bandwidth,
                              common::Seconds slice) {
   if (bandwidth <= 0) throw std::invalid_argument("expected_fct: B <= 0");
-  // Eq. 1 with the flow's own ratio when the workload specifies one.
-  codec::CodecModel effective = codec;
-  effective.ratio = flow.effective_ratio(codec.ratio);
+  // Eq. 1 with the flow's own ratio when the workload specifies one: the
+  // expression of CodecModel::delta_c, term for term, so the bits match.
   const common::Bytes disposal =
-      beta ? delta_c(effective, slice, cpu_headroom)
+      beta ? codec.compress_speed * std::clamp(cpu_headroom, 0.0, 1.0) *
+                 slice * (1.0 - flow.effective_ratio(codec.ratio))
            : delta_t(bandwidth, slice);
   const common::Bytes rest = std::max(0.0, flow.volume() - disposal);
   return slice + rest / bandwidth;

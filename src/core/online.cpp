@@ -151,11 +151,18 @@ fabric::Allocation FvdfScheduler::schedule(const sched::SchedContext& ctx) {
   fabric::Allocation alloc =
       incremental ? schedule_incremental(ctx) : schedule_full(ctx);
 
-  for (const fabric::Coflow* c : ctx.coflows)
+  // A coflow is served when any of its flows got a rate or a beta switch.
+  // The incremental walk stamps the coflows it granted bandwidth; the
+  // compressing ones are read off the cached has_beta flag.
+  for (const fabric::Coflow* c : ctx.coflows) {
     set_stamp(seen_round_, c->id, round_);
-  for (const fabric::Flow* f : ctx.flows)
-    if (alloc.rate(f->id) > 0 || alloc.compress(f->id))
-      set_stamp(served_round_, f->coflow, round_);
+    if (incremental && c->id < cache_.size() && cache_[c->id].has_beta)
+      set_stamp(served_round_, c->id, round_);
+  }
+  if (!incremental)
+    for (const fabric::Flow* f : ctx.flows)
+      if (alloc.rate(f->id) > 0 || alloc.compress(f->id))
+        set_stamp(served_round_, f->coflow, round_);
   return alloc;
 }
 
@@ -283,15 +290,17 @@ fabric::Allocation FvdfScheduler::schedule_incremental(
   // rank-index order — the same unique (band, key, arrival, id) sequence
   // the full path's stable_sort produces. The beta switches install in one
   // bulk copy (the full path's set_compress(id, true) per compressing flow
-  // writes the same table entries), and the rate walks run over the
-  // transmitting-only index and stop at port exhaustion: beta lanes never
+  // writes the same table entries), and the rate walk runs over the
+  // transmitting-only index and stops at port exhaustion: beta lanes never
   // touch headroom, and once every ingress (or every egress) port is
   // drained all remaining grants are exactly zero — the same rates an
-  // unset flow reports.
+  // unset flow reports. The walk lays the transmitting lanes it visits out
+  // in walk_, in walk order, so backfill replays one flat array.
   fabric::Allocation alloc;
   alloc.reserve(tracker.flow_count());
   alloc.set_compress_all(beta_);
   fabric::PortHeadroom headroom(*ctx.fabric);
+  walk_.clear();
   xmit_index_.for_each_while([&](fabric::CoflowId id) {
     const CachedCoflow& cc = cache_[id];
     // Band 1 is deadline-paced: the disposal horizon depends on `now`, so
@@ -305,27 +314,27 @@ fabric::Allocation FvdfScheduler::schedule_incremental(
                          tracker.coflow(id)->deadline - ctx.now - ctx.slice);
     for (const Lane& l : cc.lanes) {
       if (l.beta) continue;
+      walk_.push_back(WalkLane{l.id, l.src, l.dst, id});
       const common::Bps want =
           paced ? tracker.flow(l.id).volume() / dispose : l.want;
       const common::Bps r = std::min(want, headroom.available(l.src, l.dst));
       if (r > 0) {
         alloc.set_rate(l.id, r);
         headroom.consume(l.src, l.dst, r);
+        set_stamp(served_round_, id, round_);
       }
     }
     return !headroom.exhausted();
   });
   if (options_.backfill && !headroom.exhausted()) {
-    xmit_index_.for_each_while([&](fabric::CoflowId id) {
-      for (const Lane& l : cache_[id].lanes) {
-        if (l.beta) continue;
-        const common::Bps extra = headroom.available(l.src, l.dst);
-        if (extra <= 0) continue;
-        alloc.set_rate(l.id, alloc.rate(l.id) + extra);
-        headroom.consume(l.src, l.dst, extra);
-      }
-      return !headroom.exhausted();
-    });
+    for (const WalkLane& w : walk_) {
+      const common::Bps extra = headroom.available(w.src, w.dst);
+      if (extra <= 0) continue;
+      alloc.set_rate(w.id, alloc.rate(w.id) + extra);
+      headroom.consume(w.src, w.dst, extra);
+      set_stamp(served_round_, w.coflow, round_);
+      if (headroom.exhausted()) break;
+    }
   }
   return alloc;
 }
@@ -344,6 +353,7 @@ void FvdfScheduler::refresh_coflow(const sched::SchedContext& ctx,
   cc.arrival = c.arrival;
   cc.gamma = 0;
   cc.has_xmit = false;
+  cc.has_beta = false;
   cc.lanes.clear();
   if (!cc.counted && counts_deadline(c)) {
     cc.counted = true;
@@ -386,6 +396,7 @@ void FvdfScheduler::refresh_coflow(const sched::SchedContext& ctx,
     if (l.beta) {
       if (l.id >= beta_.size()) beta_.resize(l.id + 1, 0);
       beta_[l.id] = 1;
+      cc.has_beta = true;
     } else {
       cc.has_xmit = true;
     }
@@ -425,6 +436,7 @@ void FvdfScheduler::drop_coflow(fabric::CoflowId id) {
   }
   cc.valid = false;
   cc.has_xmit = false;
+  cc.has_beta = false;
   cc.lanes = {};  // free, not just clear: completed coflows linger
   cc.gamma = 0;
 }

@@ -157,19 +157,31 @@ class FvdfScheduler final : public sched::Scheduler {
     std::uint8_t band = kFvdfBand;
     bool valid = false;
     bool has_xmit = false;  ///< any non-beta lane (member of xmit_index_)
+    bool has_beta = false;  ///< any beta lane: counts as served (Upgrade)
     bool counted = false;   ///< contributes to deadline_resident_
     std::vector<Lane> lanes;
   };
   const sched::DirtyTracker* bound_tracker_ = nullptr;
   std::uint64_t session_ = 0;
   std::vector<CachedCoflow> cache_;  ///< by dense coflow id
-  /// The coflows with at least one transmitting lane, in rank order. The
-  /// disposal/backfill walks run over this index and stop at port
-  /// exhaustion, so their cost is O(coflows that can still receive
-  /// bandwidth), not O(resident coflows). Beta-only coflows never touch
-  /// headroom, so skipping them leaves the walk order's grants bit-identical
-  /// to the full path's all-coflow walk.
+  /// The coflows with at least one transmitting lane, in rank order. Only
+  /// these can take port headroom, so the disposal walk runs over this
+  /// index alone; beta-only coflows never touch headroom, and skipping them
+  /// leaves the walk order's grants bit-identical to the full path's
+  /// all-coflow walk. The walk stops at port exhaustion, which on a loaded
+  /// fabric with many ports rarely comes: expect it to visit every
+  /// transmitting coflow.
   sched::RankIndex xmit_index_;
+  /// One transmitting lane as the disposal walk met it.
+  struct WalkLane {
+    fabric::FlowId id = 0;
+    fabric::PortId src = 0;
+    fabric::PortId dst = 0;
+    fabric::CoflowId coflow = 0;
+  };
+  /// The disposal walk's lanes in walk order, reused across rounds: the
+  /// backfill pass scans this array instead of walking the index again.
+  std::vector<WalkLane> walk_;
   /// Persistent per-flow beta switches, mirrored from the cached lanes and
   /// bulk-installed into each round's Allocation (set_compress_all). Spares
   /// the O(compressing flows) per-round set_compress loop.

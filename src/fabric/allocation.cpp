@@ -61,29 +61,6 @@ PortHeadroom::PortHeadroom(const Fabric& fabric) {
   }
 }
 
-common::Bps PortHeadroom::available(const Flow& flow) const {
-  return available(flow.src, flow.dst);
-}
-
-common::Bps PortHeadroom::available(PortId src, PortId dst) const {
-  return std::max(0.0, std::min(ingress_.at(src), egress_.at(dst)));
-}
-
-void PortHeadroom::consume(const Flow& flow, common::Bps rate) {
-  consume(flow.src, flow.dst, rate);
-}
-
-void PortHeadroom::consume(PortId src, PortId dst, common::Bps rate) {
-  common::Bps& in = ingress_.at(src);
-  common::Bps& out = egress_.at(dst);
-  // A port leaves the open set exactly when this grant drains it (a full
-  // grant of min(in, out) subtracts the smaller side to a bitwise 0.0).
-  if (in > 0 && rate >= in) --open_ingress_;
-  in = std::max(0.0, in - rate);
-  if (out > 0 && rate >= out) --open_egress_;
-  out = std::max(0.0, out - rate);
-}
-
 Allocation weighted_max_min(const std::vector<const Flow*>& flows,
                             const std::vector<double>& weights,
                             const Fabric& fabric) {

@@ -1,6 +1,7 @@
 // Per-slice bandwidth allocations and the rate solvers the schedulers share.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -63,12 +64,31 @@ class PortHeadroom {
  public:
   explicit PortHeadroom(const Fabric& fabric);
 
+  // available/consume sit on every greedy allocator's innermost loop, so
+  // they index unchecked: sim::run_simulation rejects a flow whose port is
+  // outside the fabric before any scheduler runs.
+
   /// Max rate flow (src -> dst) can still get: min of the two ports.
-  common::Bps available(const Flow& flow) const;
-  common::Bps available(PortId src, PortId dst) const;
+  common::Bps available(const Flow& flow) const {
+    return available(flow.src, flow.dst);
+  }
+  common::Bps available(PortId src, PortId dst) const {
+    return std::max(0.0, std::min(ingress_[src], egress_[dst]));
+  }
   /// Consumes `rate` on both of the flow's ports (clamped at zero).
-  void consume(const Flow& flow, common::Bps rate);
-  void consume(PortId src, PortId dst, common::Bps rate);
+  void consume(const Flow& flow, common::Bps rate) {
+    consume(flow.src, flow.dst, rate);
+  }
+  void consume(PortId src, PortId dst, common::Bps rate) {
+    common::Bps& in = ingress_[src];
+    common::Bps& out = egress_[dst];
+    // A port leaves the open set exactly when this grant drains it (a full
+    // grant of min(in, out) subtracts the smaller side to a bitwise 0.0).
+    if (in > 0 && rate >= in) --open_ingress_;
+    in = std::max(0.0, in - rate);
+    if (out > 0 && rate >= out) --open_egress_;
+    out = std::max(0.0, out - rate);
+  }
 
   common::Bps ingress(PortId p) const { return ingress_.at(p); }
   common::Bps egress(PortId p) const { return egress_.at(p); }

@@ -362,6 +362,7 @@ class Engine {
     // change before the first decision is not a "flip".
     decided.assign(flows.size(), 0);
     seg.assign(flows.size(), FlowSeg{});
+    seg_cpu.assign(fabric.num_ports(), SegCpu{});
 
     // ---- Incremental-scheduling event feed (DESIGN.md section 11). ----
     // flows is reserved up front, so the bound pointer stays valid for the
@@ -574,12 +575,31 @@ class Engine {
     window_sent_base = sent_total;
   }
 
+  // The snapshot's CPU reads, taken once per source port: CpuProvider
+  // methods are const functions of (node, t) and every read here is at
+  // seg_base, so the memo returns the provider's own bits.
+  struct SegCpu {
+    std::uint64_t stamp = 0;  // seg_cpu_stamp of the reads below
+    double headroom = 0;
+    common::Seconds until = 0;
+  };
+  const SegCpu& seg_cpu_at(fabric::PortId p) {
+    SegCpu& m = seg_cpu[p];
+    if (m.stamp != seg_cpu_stamp) {
+      m.stamp = seg_cpu_stamp;
+      m.headroom = cpu.headroom(p, seg_base);
+      m.until = cpu.headroom_constant_until(p, seg_base);
+    }
+    return m;
+  }
+
   // Re-snapshots every unfinished flow of every active coflow at the
   // current boundary: decision tables -> per-flow segment constants plus
   // the segment aggregates (earliest event, interior-slice progress, stall
   // census, CPU-headroom promise).
   void snapshot_segment() {
     ++seg_epoch;
+    ++seg_cpu_stamp;
     seg_flows.clear();
     seg_min_event_j = kNoEvent;
     seg_progress_step = 0;
@@ -600,8 +620,8 @@ class Engine {
         s.epoch = seg_epoch;
         if (compress[fid] && config.codec != nullptr &&
             s.d0 > fabric::kVolumeEpsilon) {
-          const double r_eff =
-              config.codec->compress_speed * cpu.headroom(f.src, seg_base);
+          const SegCpu& src_cpu = seg_cpu_at(f.src);
+          const double r_eff = config.codec->compress_speed * src_cpu.headroom;
           if (r_eff > kTiny) {
             s.mode = FlowSeg::kCompress;
             s.rate = r_eff;
@@ -615,8 +635,7 @@ class Engine {
                      fabric::kVolumeEpsilon;
             });
             seg_progress_step += s.step;
-            seg_cpu_T = std::min(
-                seg_cpu_T, cpu.headroom_constant_until(f.src, seg_base));
+            seg_cpu_T = std::min(seg_cpu_T, src_cpu.until);
           } else {
             // CPU busy under an assigned beta: resample every slice so the
             // scheduler can drop the switch (historical behavior).
@@ -724,6 +743,9 @@ class Engine {
   std::uint64_t seg_stall_count = 0;  // flows pinned on a failed link
   common::Seconds seg_cpu_T = std::numeric_limits<common::Seconds>::infinity();
   bool seg_has_blocked = false;  // compress flow with no CPU: resample ASAP
+  // The stamp counts snapshots and, unlike seg_epoch, never restarts.
+  std::vector<SegCpu> seg_cpu;  // by port
+  std::uint64_t seg_cpu_stamp = 0;
 
   common::Seconds window_start = 0;
   double window_sent_base = 0;
@@ -1697,6 +1719,15 @@ Metrics run_simulation(const workload::Trace& trace,
   if (config.slice <= 0) throw std::invalid_argument("sim: non-positive slice");
   if (fabric.num_ports() < trace.num_ports)
     throw std::invalid_argument("sim: fabric smaller than trace needs");
+  // The rate solvers index port tables unchecked; a port outside the
+  // fabric must stop the run here, not deep inside a scheduler.
+  for (const workload::CoflowSpec& c : trace.coflows)
+    for (const workload::FlowSpec& f : c.flows)
+      if (f.src >= fabric.num_ports() || f.dst >= fabric.num_ports())
+        throw SimError("sim: coflow " + std::to_string(c.id) + " has a flow " +
+                       std::to_string(f.src) + " -> " + std::to_string(f.dst) +
+                       " outside the fabric's " +
+                       std::to_string(fabric.num_ports()) + " ports");
   Engine engine(trace, fabric, cpu, sched, config);
   return engine.run();
 }

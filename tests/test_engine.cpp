@@ -210,6 +210,26 @@ TEST(Engine, RejectsBadConfigs) {
                std::invalid_argument);
 }
 
+TEST(Engine, RejectsFlowPortsOutsideTheFabric) {
+  // A hand-built trace can name a port its num_ports does not cover. The
+  // run must stop with a typed SimError before any scheduler indexes the
+  // port tables, whichever endpoint is out of range.
+  for (const bool bad_src : {true, false}) {
+    auto trace = single_flow_trace(10.0);
+    if (bad_src)
+      trace.coflows[0].flows[0].src = 2;
+    else
+      trace.coflows[0].flows[0].dst = 7;
+    const fabric::Fabric fabric(2, 1.0);
+    const cpu::ConstantCpu cpu(0.0);
+    for (const char* name : {"FIFO", "FVDF", "SEBF"}) {
+      auto sched = make_scheduler(name);
+      EXPECT_THROW(run_simulation(trace, fabric, cpu, *sched, {}), SimError)
+          << name << (bad_src ? " src" : " dst");
+    }
+  }
+}
+
 TEST(Engine, EmptyTraceYieldsEmptyMetrics) {
   workload::Trace t;
   t.num_ports = 2;

@@ -12,8 +12,11 @@
 // CPU headroom changes and priority upgrades.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -349,6 +352,104 @@ TEST(RankIndex, InfinityKeysRankLastAndTieById) {
   std::vector<fabric::CoflowId> ids;
   index.for_each([&](fabric::CoflowId id) { ids.push_back(id); });
   EXPECT_EQ(ids, (std::vector<fabric::CoflowId>{3, 4, 6}));
+}
+
+TEST(RankIndex, RandomizedDifferentialAgainstOrderedMap) {
+  // The flat index records changes and commits them in a batch at the next
+  // walk; a std::map keyed the same way is the reference order. Operations
+  // interleave freely between walks, so a batch mixes fresh inserts,
+  // no-op re-inserts, key moves, erase-then-reinsert and
+  // insert-then-erase of the same ids.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> primaries = {0.0, 0.5, 1.0, 1.0, 2.5, inf};
+  const std::vector<double> arrivals = {0.0, 0.0, 1.0, 3.0};
+  std::mt19937_64 rng(20261017);
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  auto random_key = [&](fabric::CoflowId id) {
+    return sched::CoflowRankKey{primaries[pick(primaries.size())],
+                                arrivals[pick(arrivals.size())], id,
+                                static_cast<std::uint8_t>(pick(4))};
+  };
+
+  sched::RankIndex index;
+  std::map<sched::CoflowRankKey, fabric::CoflowId> ref;
+  std::map<fabric::CoflowId, sched::CoflowRankKey> ref_key;
+  auto ref_put = [&](fabric::CoflowId id, const sched::CoflowRankKey& k) {
+    if (auto it = ref_key.find(id); it != ref_key.end()) ref.erase(it->second);
+    ref_key[id] = k;
+    ref.emplace(k, id);
+  };
+  auto ref_erase = [&](fabric::CoflowId id) {
+    if (auto it = ref_key.find(id); it != ref_key.end()) {
+      ref.erase(it->second);
+      ref_key.erase(it);
+    }
+  };
+  auto check_walks = [&](int step) {
+    std::vector<fabric::CoflowId> want;
+    for (const auto& [key, id] : ref) want.push_back(id);
+    std::vector<fabric::CoflowId> got;
+    index.for_each([&](fabric::CoflowId id) { got.push_back(id); });
+    ASSERT_EQ(got, want) << "full walk, step " << step;
+    ASSERT_EQ(index.size(), ref.size()) << "step " << step;
+    // An early-stopping walk visits exactly the prefix it asked for.
+    const std::size_t stop = want.empty() ? 0 : pick(want.size() + 1);
+    got.clear();
+    index.for_each_while([&](fabric::CoflowId id) {
+      got.push_back(id);
+      return got.size() < stop;
+    });
+    want.resize(std::min(want.size(), std::max<std::size_t>(stop, 1)));
+    ASSERT_EQ(got, want) << "stopped walk, step " << step;
+  };
+
+  fabric::CoflowId id_bound = 8;  // grows: ids past the key table's end
+  for (int step = 0; step < 6000; ++step) {
+    const std::size_t op = pick(100);
+    const fabric::CoflowId id = pick(id_bound);
+    if (op < 30) {  // insert or move to a fresh random key
+      const sched::CoflowRankKey k = random_key(id);
+      index.insert_or_update(id, k);
+      ref_put(id, k);
+    } else if (op < 40) {  // same-key re-insert: no-op
+      if (auto it = ref_key.find(id); it != ref_key.end())
+        index.insert_or_update(id, it->second);
+    } else if (op < 55) {  // erase (also of absent ids)
+      index.erase(id);
+      ref_erase(id);
+    } else if (op < 65) {  // erase then reinsert before any walk
+      index.erase(id);
+      const sched::CoflowRankKey k = random_key(id);
+      index.insert_or_update(id, k);
+      ref_put(id, k);
+    } else if (op < 72) {  // insert then erase before any walk
+      index.insert_or_update(id, random_key(id));
+      index.erase(id);
+      ref_erase(id);
+    } else if (op < 78) {  // move away and back: net no change
+      if (auto it = ref_key.find(id); it != ref_key.end()) {
+        const sched::CoflowRankKey k = it->second;
+        index.insert_or_update(id, random_key(id));
+        index.insert_or_update(id, k);
+      }
+    } else if (op < 80) {  // a new id past every id seen so far
+      id_bound += 1 + pick(40);
+      const sched::CoflowRankKey k = random_key(id_bound - 1);
+      index.insert_or_update(id_bound - 1, k);
+      ref_put(id_bound - 1, k);
+    } else if (op < 81) {
+      index.clear();
+      ref.clear();
+      ref_key.clear();
+    } else {
+      check_walks(step);
+      if (HasFatalFailure()) return;
+    }
+    ASSERT_EQ(index.contains(id), ref_key.count(id) != 0) << "step " << step;
+  }
+  check_walks(-1);
 }
 
 }  // namespace
