@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   config.codec_model = codec::CodecModel{"swlz", 500.0 * common::kMB,
                                          1500.0 * common::kMB, 0.45};
   // Chunked codec data plane (DESIGN.md §14): --chunk-bytes sets the SWF2
-  // chunk size blocks are split at (0 = legacy serial SWF1 frames);
+  // chunk size blocks are split at (must be positive);
   // --codec-threads sizes the worker pool every transfer's encode/decode
   // jobs share (0 = auto: min(4, hardware threads)).
   config.chunk_bytes = static_cast<std::size_t>(flags.get_int(

@@ -34,35 +34,30 @@ common::Seconds expected_fct(const fabric::Flow& flow, bool beta,
   return slice + rest / bandwidth;
 }
 
-namespace {
-
-// Cold, out-of-line emitters keep the Args-building machinery out of the
-// time_calculation loop body, so the traced-off path stays tight.
-[[gnu::noinline, gnu::cold]] void emit_beta_decision(
-    const sched::SchedContext& ctx, const fabric::Flow& f,
-    const fabric::Coflow& c, bool beta, common::Seconds fct) {
+[[gnu::noinline]] void emit_beta_decision(const sched::SchedContext& ctx,
+                                          const fabric::Flow& f, bool beta,
+                                          common::Seconds fct) {
   obs::emit_instant(ctx.sink, obs::sim_ts(ctx.now), "beta_decision", "fvdf",
                     obs::Args()
                         .add("flow", std::int64_t(f.id))
-                        .add("coflow", std::int64_t(c.id))
+                        .add("coflow", std::int64_t(f.coflow))
                         .add("beta", beta)
                         .add("expected_fct", fct)
                         .str());
 }
 
-[[gnu::noinline, gnu::cold]] void emit_coflow_estimate(
-    const sched::SchedContext& ctx, const fabric::Coflow& c,
-    const CoflowEstimate& est) {
+[[gnu::noinline]] void emit_coflow_estimate(const sched::SchedContext& ctx,
+                                            const fabric::Coflow& c,
+                                            common::Seconds gamma,
+                                            double key) {
   obs::emit_instant(ctx.sink, obs::sim_ts(ctx.now), "coflow_estimate", "fvdf",
                     obs::Args()
                         .add("coflow", std::int64_t(c.id))
-                        .add("gamma", est.gamma)
+                        .add("gamma", gamma)
                         .add("priority", c.priority)
-                        .add("key", est.key.primary)
+                        .add("key", key)
                         .str());
 }
-
-}  // namespace
 
 [[gnu::noinline]] FlowEval evaluate_flow(const EvalEnv& env,
                                          const fabric::Flow& f,
@@ -140,13 +135,11 @@ std::vector<CoflowEstimate> time_calculation(const sched::SchedContext& ctx,
       est.beta.push_back(ev.beta);
       est.gamma = std::max(est.gamma, ev.fct);  // Eq. 8
       if (ctx.sink != nullptr) [[unlikely]]
-        emit_beta_decision(ctx, *f, *c, ev.beta, ev.fct);
+        emit_beta_decision(ctx, *f, ev.beta, ev.fct);
     }
     est.key = {fvdf_key(est.gamma, c->priority), c->arrival, c->id,
                kFvdfBand};
     est.dispose = std::max(est.gamma, ctx.slice);
-    if (ctx.sink != nullptr) [[unlikely]]
-      emit_coflow_estimate(ctx, *c, est);
     estimates.push_back(std::move(est));
   }
   return estimates;
@@ -168,6 +161,10 @@ fabric::Allocation fvdf_allocate(const sched::SchedContext& ctx,
   // the minimum rate that finishes them inside the disposal horizon, capped
   // by residual headroom. Later coflows see what is left, in order.
   for (const CoflowEstimate& est : estimates) {
+    // Logged here, after any rank policy re-banded the estimate, so the
+    // trace carries the Γ and key the order actually used.
+    if (ctx.sink != nullptr) [[unlikely]]
+      emit_coflow_estimate(ctx, *est.coflow, est.gamma, est.key.primary);
     for (std::size_t i = 0; i < est.flows.size(); ++i) {
       const fabric::Flow* f = est.flows[i];
       if (est.beta[i]) {

@@ -61,6 +61,18 @@ struct FlowEval {
 FlowEval evaluate_flow(const EvalEnv& env, const fabric::Flow& f,
                        bool force_compression);
 
+/// Trace events of one FVDF evaluation, shared by the batch path
+/// (time_calculation, fvdf_allocate) and the incremental refresh
+/// (online.cpp): `beta_decision` per flow (β, Eq. 7 FCT) and
+/// `coflow_estimate` per coflow (ranked Γ, priority, primary key). Cold and
+/// out-of-line; callers test ctx.sink first.
+[[gnu::cold]] void emit_beta_decision(const sched::SchedContext& ctx,
+                                      const fabric::Flow& f, bool beta,
+                                      common::Seconds fct);
+[[gnu::cold]] void emit_coflow_estimate(const sched::SchedContext& ctx,
+                                        const fabric::Coflow& c,
+                                        common::Seconds gamma, double key);
+
 /// Plain FVDF's band on DEADLINE-FVDF's ladder (online.hpp): best-effort
 /// work in Shortest-(adjusted)-Gamma order.
 inline constexpr std::uint8_t kFvdfBand = 2;

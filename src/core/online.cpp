@@ -116,7 +116,7 @@ fabric::Allocation FvdfScheduler::schedule(const sched::SchedContext& ctx) {
     // Entering fault fallback reclassifies every coflow, not just the ones
     // the capacity change dirtied: force the incremental path through its
     // session rebuild so no cached band survives the regime switch.
-    bound_tracker_ = nullptr;
+    dirty_walk_.reset();
   }
 
   // Pseudocode 3's Upgrade targets "coflows waiting for scheduling": age
@@ -145,11 +145,12 @@ fabric::Allocation FvdfScheduler::schedule(const sched::SchedContext& ctx) {
     }
   }
 
-  // The traced path stays on full recompute: only the batch TimeCalculation
-  // emits per-coflow estimates and β decisions.
-  const bool incremental = ctx.tracker != nullptr && ctx.sink == nullptr;
-  fabric::Allocation alloc =
-      incremental ? schedule_incremental(ctx) : schedule_full(ctx);
+  const bool incremental = ctx.tracker != nullptr;
+  fabric::Allocation alloc;
+  {
+    obs::ProfileScope scope(ctx.sink, "fvdf.allocate");
+    alloc = incremental ? schedule_incremental(ctx) : schedule_full(ctx);
+  }
 
   // A coflow is served when any of its flows got a rate or a beta switch.
   // The incremental walk stamps the coflows it granted bandwidth; the
@@ -168,7 +169,6 @@ fabric::Allocation FvdfScheduler::schedule(const sched::SchedContext& ctx) {
 
 fabric::Allocation FvdfScheduler::schedule_full(
     const sched::SchedContext& ctx) {
-  obs::ProfileScope scope(ctx.sink, "fvdf.allocate");
   // Rejected coflows carry no unfinished flows, so time_calculation already
   // leaves them out.
   std::vector<CoflowEstimate> estimates = time_calculation(
@@ -215,46 +215,40 @@ fabric::Allocation FvdfScheduler::schedule_incremental(
   EvalEnv nc_env = env;
   nc_env.codec = nullptr;
 
-  if (bound_tracker_ != ctx.tracker || session_ != tracker.session()) {
-    // First sight of this run (or a restarted one, or fault fallback just
-    // began): rebuild from scratch.
-    bound_tracker_ = ctx.tracker;
-    session_ = tracker.session();
-    xmit_index_.clear();
-    cache_.clear();
-    beta_.assign(tracker.flow_count(), 0);
-    horizon_heap_ = {};
-    horizon_round_.clear();
-    // Pre-register the deadline residents so every refresh below classifies
-    // against the final any_deadline_ value, whatever the coflow order.
-    deadline_resident_ = 0;
-    for (const fabric::Coflow* c : ctx.coflows) {
-      if (!counts_deadline(*c)) continue;
-      if (c->id >= cache_.size()) cache_.resize(c->id + 1);
-      cache_[c->id].counted = true;
-      ++deadline_resident_;
-    }
-    any_deadline_ = deadline_resident_ > 0;
-    for (const fabric::Coflow* c : ctx.coflows)
-      refresh_coflow(ctx, env, nc_env, *c);
-    need_global_rekey_ = false;  // the rebuild classified coherently
-  } else {
-    any_deadline_ = deadline_resident_ > 0;
-    for (const fabric::CoflowId id : tracker.dirty()) {
-      const fabric::Coflow* c = tracker.coflow(id);
-      if (c == nullptr) continue;
-      if (c->completed() || c->slo == fabric::SloClass::kRejected) {
-        drop_coflow(id);
-        continue;
-      }
-      if (tracker.level(id) == sched::DirtyLevel::kKeyOnly &&
-          id < cache_.size() && cache_[id].valid) {
-        rekey_coflow(*c);
-      } else {
-        refresh_coflow(ctx, env, nc_env, *c);
-      }
-    }
-  }
+  any_deadline_ = deadline_resident_ > 0;
+  dirty_walk_.run(
+      *ctx.tracker, ctx.coflows,
+      [&] {
+        // First sight of this run (or a restarted one, or fault fallback
+        // just began): rebuild from scratch.
+        xmit_index_.clear();
+        cache_.clear();
+        beta_.assign(tracker.flow_count(), 0);
+        horizon_heap_ = {};
+        horizon_round_.clear();
+        // Pre-register the deadline residents so the refreshes that follow
+        // classify against the final any_deadline_ value, whatever the
+        // coflow order; the rebuild then classifies coherently, with no
+        // global re-key.
+        deadline_resident_ = 0;
+        for (const fabric::Coflow* c : ctx.coflows) {
+          if (!counts_deadline(*c)) continue;
+          if (c->id >= cache_.size()) cache_.resize(c->id + 1);
+          cache_[c->id].counted = true;
+          ++deadline_resident_;
+        }
+        any_deadline_ = deadline_resident_ > 0;
+        need_global_rekey_ = false;
+      },
+      [&](const fabric::Coflow& c, sched::DirtyLevel level) {
+        if (c.completed() || c.slo == fabric::SloClass::kRejected)
+          drop_coflow(c.id);
+        else if (level == sched::DirtyLevel::kKeyOnly &&
+                 c.id < cache_.size() && cache_[c.id].valid)
+          rekey_coflow(c);
+        else
+          refresh_coflow(ctx, env, nc_env, c);
+      });
 
   // Time-driven reclassifications: pop every horizon within one slice of
   // now (the pad absorbs FP drift in the stored horizon; classify is the
@@ -284,7 +278,6 @@ fabric::Allocation FvdfScheduler::schedule_incremental(
       if (const fabric::Coflow* c = tracker.coflow(id)) rekey_coflow(*c);
     need_global_rekey_ = false;
   }
-  ctx.tracker->consume();
 
   // Volume disposal (Pseudocode 2 lines 24-35) over the memoized lanes, in
   // rank-index order — the same unique (band, key, arrival, id) sequence
@@ -370,6 +363,8 @@ void FvdfScheduler::refresh_coflow(const sched::SchedContext& ctx,
     if (f.done()) continue;
     const FlowEval ev = evaluate_flow(env, f, options_.force_compression);
     gamma_beta = std::max(gamma_beta, ev.fct);  // Eq. 8
+    if (ctx.sink != nullptr) [[unlikely]]
+      emit_beta_decision(ctx, f, ev.beta, ev.fct);
     cc.lanes.push_back(Lane{fid, f.src, f.dst, ev.beta, 0.0});
     has_beta |= ev.beta;
   }
@@ -404,14 +399,16 @@ void FvdfScheduler::refresh_coflow(const sched::SchedContext& ctx,
   const common::Seconds g = std::max(cc.gamma, ctx.slice);
   for (Lane& l : cc.lanes)
     if (!l.beta) l.want = tracker.flow(l.id).volume() / g;
-  rekey_coflow(c);
+  const double key = rekey_coflow(c);
+  if (ctx.sink != nullptr) [[unlikely]]
+    emit_coflow_estimate(ctx, c, cc.gamma, key);
   if (rank.horizon < fabric::kNoDeadline)
     horizon_heap_.push({rank.horizon, c.id});
 }
 
-void FvdfScheduler::rekey_coflow(const fabric::Coflow& c) {
+double FvdfScheduler::rekey_coflow(const fabric::Coflow& c) {
   CachedCoflow& cc = cache_[c.id];
-  if (!cc.valid || cc.lanes.empty()) return;
+  if (!cc.valid || cc.lanes.empty()) return 0;
   double primary = c.deadline;  // EDF within bands 1 and 3
   if (cc.band == 0 || cc.band == kFvdfBand) {
     cc.band = starved(c) ? 0 : kFvdfBand;
@@ -421,6 +418,7 @@ void FvdfScheduler::rekey_coflow(const fabric::Coflow& c) {
     xmit_index_.insert_or_update(c.id, {primary, cc.arrival, c.id, cc.band});
   else
     xmit_index_.erase(c.id);
+  return primary;
 }
 
 void FvdfScheduler::drop_coflow(fabric::CoflowId id) {
@@ -479,21 +477,10 @@ void FvdfScheduler::restore_state(recovery::StateReader& r) {
   served_round_.resize(r.count("fvdf served stamps"));
   for (std::uint64_t& s : served_round_) s = r.u64();
   seen_degraded_ = r.u64() != 0;
-  // Drop any live incremental bindings: the restored run owns a fresh
-  // DirtyTracker session, and schedule_incremental rebuilds from scratch
-  // when it sees one. Clearing here makes that unconditional even if a
-  // stale session id were ever reused.
-  bound_tracker_ = nullptr;
-  session_ = 0;
-  cache_.clear();
-  xmit_index_.clear();
-  beta_.clear();
-  horizon_heap_ = {};
-  horizon_round_.clear();
-  horizon_due_.clear();
-  deadline_resident_ = 0;
-  any_deadline_ = false;
-  need_global_rekey_ = false;
+  // Drop the live incremental binding: the next incremental round rebuilds
+  // every session-keyed cache from scratch, even if a stale session id were
+  // ever reused.
+  dirty_walk_.reset();
 }
 
 }  // namespace swallow::core

@@ -27,13 +27,14 @@
 // checkpointed). With zero finite deadlines every coflow lands in band 2
 // with FVDF's exact key, so DEADLINE-FVDF is bit-identical to FVDF.
 //
-// When the context carries a DirtyTracker (and no trace sink), schedule()
-// runs the incremental path (DESIGN.md section 11): per-coflow Γ components
-// are memoized, the rank order lives in a RankIndex keyed (band, primary,
+// When the context carries a DirtyTracker, traced or not, schedule() runs
+// the incremental path (DESIGN.md section 11): per-coflow Γ components are
+// memoized, the rank order lives in a RankIndex keyed (band, primary,
 // arrival, id), and each decision point re-evaluates only the coflows the
 // dirty set names — plus, under the deadline policy, the coflows whose
-// horizon says time alone is about to flip their band. The allocations are
-// bit-for-bit identical to the full recompute — test_engine_parity,
+// horizon says time alone is about to flip their band. A traced round logs
+// coflow_estimate/beta_decision for exactly those coflows. The allocations
+// are bit-for-bit identical to the full recompute — test_engine_parity,
 // test_incremental and test_slo enforce this.
 #pragma once
 
@@ -111,13 +112,14 @@ class FvdfScheduler final : public sched::Scheduler {
   fabric::Allocation schedule_full(const sched::SchedContext& ctx);
   fabric::Allocation schedule_incremental(const sched::SchedContext& ctx);
   /// Re-evaluates a dirty coflow's flows (Eq. 7/8) and its band, refreshing
-  /// its cache entry and its rank-index slot.
+  /// its cache entry and its rank-index slot; traced, it logs one
+  /// beta_decision per flow and one coflow_estimate.
   void refresh_coflow(const sched::SchedContext& ctx, const EvalEnv& env,
                       const EvalEnv& nc_env, const fabric::Coflow& c);
   /// Re-derives the rank key (and the band-0/2 promotion) from cached Γ:
   /// key-only dirt, the priority class moved. Bands 1/3 key on the
-  /// deadline, so for them this is a no-op.
-  void rekey_coflow(const fabric::Coflow& c);
+  /// deadline, so for them this is a no-op. Returns the primary key.
+  double rekey_coflow(const fabric::Coflow& c);
   void drop_coflow(fabric::CoflowId id);
 
   FvdfOptions options_;
@@ -161,8 +163,7 @@ class FvdfScheduler final : public sched::Scheduler {
     bool counted = false;   ///< contributes to deadline_resident_
     std::vector<Lane> lanes;
   };
-  const sched::DirtyTracker* bound_tracker_ = nullptr;
-  std::uint64_t session_ = 0;
+  sched::DirtyWalk dirty_walk_;
   std::vector<CachedCoflow> cache_;  ///< by dense coflow id
   /// The coflows with at least one transmitting lane, in rank order. Only
   /// these can take port headroom, so the disposal walk runs over this

@@ -24,8 +24,7 @@ std::size_t AaloScheduler::queue_of(common::Bytes sent) const {
 }
 
 fabric::Allocation AaloScheduler::schedule(const SchedContext& ctx) {
-  if (ctx.tracker != nullptr && ctx.sink == nullptr)
-    return schedule_incremental(ctx);
+  if (ctx.tracker != nullptr) return schedule_incremental(ctx);
   return schedule_full(ctx);
 }
 
@@ -58,27 +57,16 @@ fabric::Allocation AaloScheduler::schedule_full(const SchedContext& ctx) {
 fabric::Allocation AaloScheduler::schedule_incremental(
     const SchedContext& ctx) {
   const DirtyTracker& tracker = *ctx.tracker;
-  if (bound_tracker_ != ctx.tracker || session_ != tracker.session()) {
-    bound_tracker_ = ctx.tracker;
-    session_ = tracker.session();
-    index_.clear();
-    cache_.clear();
-    for (const fabric::Coflow* c : ctx.coflows) refresh_coflow(ctx, *c);
-  } else {
-    // Aalo has no priority class, so any dirt — including key-only marks
-    // from a shared engine feed — just re-derives the queue level.
-    for (const fabric::CoflowId id : tracker.dirty()) {
-      const fabric::Coflow* c = tracker.coflow(id);
-      if (c == nullptr) continue;
-      if (c->completed()) {
-        index_.erase(id);
-        if (id < cache_.size()) cache_[id] = Cached{};
-        continue;
-      }
-      refresh_coflow(ctx, *c);
-    }
-  }
-  ctx.tracker->consume();
+  // Aalo has no priority class, so any dirt — including key-only marks from
+  // a shared engine feed — just re-derives the queue level. A completed or
+  // shed coflow has no unfinished flow left, so its refresh drops it.
+  walk_.run(
+      *ctx.tracker, ctx.coflows,
+      [&] {
+        index_.clear();
+        cache_.clear();
+      },
+      [&](const fabric::Coflow& c, DirtyLevel) { refresh_coflow(ctx, c); });
 
   // Concatenating the cached flow lists in index order reproduces the full
   // path's order_flows_by_coflow sequence: coflows by (queue, arrival, id),
@@ -96,7 +84,6 @@ void AaloScheduler::refresh_coflow(const SchedContext& ctx,
                                    const fabric::Coflow& c) {
   if (c.id >= cache_.size()) cache_.resize(c.id + 1);
   Cached& cc = cache_[c.id];
-  cc.valid = true;
   cc.flows.clear();
   const DirtyTracker& tracker = *ctx.tracker;
   // Attained service sums over every unfinished flow — stalled ones
@@ -111,6 +98,7 @@ void AaloScheduler::refresh_coflow(const SchedContext& ctx,
     if (!link_stalled(f, *ctx.fabric)) cc.flows.push_back(&f);
   }
   if (cc.flows.empty()) {
+    cc = Cached{};  // free, not just clear: completed coflows linger
     index_.erase(c.id);
     return;
   }

@@ -46,12 +46,10 @@ class AaloScheduler final : public Scheduler {
 
   // --- incremental state, valid for one tracker session ---
   struct Cached {
-    bool valid = false;
     /// Unfinished, unstalled flows, in coflow flow-id order.
     std::vector<const fabric::Flow*> flows;
   };
-  const DirtyTracker* bound_tracker_ = nullptr;
-  std::uint64_t session_ = 0;
+  DirtyWalk walk_;
   std::vector<Cached> cache_;  ///< by dense coflow id
   RankIndex index_;            ///< primary key: queue level (exact integer)
   std::vector<const fabric::Flow*> ordered_;  ///< per-round output scratch

@@ -88,8 +88,8 @@ class DirtyTracker {
   DirtyLevel level(fabric::CoflowId c) const {
     return c < level_.size() ? level_[c] : DirtyLevel::kClean;
   }
-  /// Clears the dirty set. Single consumer: a scheduler that skips a round
-  /// (e.g. the traced fallback path) simply leaves the set to accumulate.
+  /// Clears the dirty set. Single consumer: DirtyWalk::run calls it once
+  /// per decision point.
   void consume();
 
   // ---- introspection (tests) ----
@@ -123,6 +123,43 @@ class DirtyTracker {
   std::vector<double> cpu_headroom_;
   std::vector<char> cpu_gate_;
   bool cpu_sampled_ = false;
+};
+
+/// The consumer side of one decision point, shared by every incremental
+/// scheduler (FVDF, SEBF, AALO). It owns the scheduler's binding to one
+/// tracker session. On first sight of a session (a new run, a restored one,
+/// or after reset()) it calls `clear()` and then `visit(coflow, kRecompute)`
+/// for every coflow in `live`, as if all were dirty; otherwise it calls
+/// `visit(coflow, level)` for every dirty coflow that arrived, in
+/// first-marked order. Either way it consumes the set, so the scheduler
+/// keeps only its policy — refresh, re-key, drop.
+class DirtyWalk {
+ public:
+  template <typename Clear, typename Visit>
+  void run(DirtyTracker& tracker, const std::vector<fabric::Coflow*>& live,
+           Clear&& clear, Visit&& visit) {
+    if (tracker_ != &tracker || session_ != tracker.session()) {
+      tracker_ = &tracker;
+      session_ = tracker.session();
+      clear();
+      for (const fabric::Coflow* c : live) visit(*c, DirtyLevel::kRecompute);
+    } else {
+      for (const fabric::CoflowId id : tracker.dirty())
+        if (const fabric::Coflow* c = tracker.coflow(id))
+          visit(*c, tracker.level(id));
+    }
+    tracker.consume();
+  }
+
+  /// Forgets the bound session: the next run() rebuilds.
+  void reset() {
+    tracker_ = nullptr;
+    session_ = 0;
+  }
+
+ private:
+  const DirtyTracker* tracker_ = nullptr;
+  std::uint64_t session_ = 0;
 };
 
 }  // namespace swallow::sched

@@ -61,14 +61,15 @@ struct SchedContext {
   bool coflow_event = true;
   /// Observability sink for per-decision trace events (Γ_C, priority
   /// classes, β switches, starvation promotions). Null disables tracing at
-  /// the cost of one branch per site.
+  /// the cost of one branch per site. It never selects a code path: a
+  /// traced incremental round logs estimates only for the coflows it
+  /// re-evaluates.
   obs::Sink* sink = nullptr;
   /// Incremental-scheduling event feed (dirty.hpp), owned by the simulation
-  /// engine. Null for hand-built contexts and the slice-stepped reference
-  /// path, in which case schedulers run their historical full-recompute
-  /// path. Schedulers also fall back to full recompute while `sink` is set
-  /// (the traced path emits per-coflow estimates, which only the batch
-  /// TimeCalculation produces); the unconsumed dirty set simply accumulates.
+  /// engine. Null for hand-built contexts, the slice-stepped reference path
+  /// and `incremental_sched = false`, in which case schedulers run their
+  /// full-recompute path; otherwise they run the incremental one, traced or
+  /// not.
   DirtyTracker* tracker = nullptr;
   /// Scratch for transmittable_flows(): reused across rounds so the stall
   /// filter stops allocating once its capacity stabilizes.

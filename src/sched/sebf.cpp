@@ -36,8 +36,7 @@ namespace {
 }  // namespace
 
 fabric::Allocation SebfScheduler::schedule(const SchedContext& ctx) {
-  if (ctx.tracker != nullptr && ctx.sink == nullptr)
-    return schedule_incremental(ctx);
+  if (ctx.tracker != nullptr) return schedule_incremental(ctx);
   return schedule_full(ctx);
 }
 
@@ -107,28 +106,17 @@ fabric::Allocation SebfScheduler::schedule_incremental(
     out_load_.assign(ctx.fabric->num_ports(), 0.0);
   }
 
-  if (bound_tracker_ != ctx.tracker || session_ != tracker.session()) {
-    bound_tracker_ = ctx.tracker;
-    session_ = tracker.session();
-    index_.clear();
-    cache_.clear();
-    for (const fabric::Coflow* c : ctx.coflows) refresh_coflow(ctx, *c);
-  } else {
-    // SEBF has no priority class, so key-only dirt (priority upgrades from
-    // a shared engine feed) still just re-derives Gamma — recomputing a
-    // clean coflow is bit-exact, only slightly wasteful.
-    for (const fabric::CoflowId id : tracker.dirty()) {
-      const fabric::Coflow* c = tracker.coflow(id);
-      if (c == nullptr) continue;
-      if (c->completed()) {
-        index_.erase(id);
-        if (id < cache_.size()) cache_[id] = Cached{};
-        continue;
-      }
-      refresh_coflow(ctx, *c);
-    }
-  }
-  ctx.tracker->consume();
+  // SEBF has no priority class, so key-only dirt (priority upgrades from a
+  // shared engine feed) still just re-derives Gamma — recomputing a clean
+  // coflow is bit-exact, only slightly wasteful. A completed or shed coflow
+  // has no unfinished flow left, so its refresh drops it.
+  walk_.run(
+      *ctx.tracker, ctx.coflows,
+      [&] {
+        index_.clear();
+        cache_.clear();
+      },
+      [&](const fabric::Coflow& c, DirtyLevel) { refresh_coflow(ctx, c); });
 
   fabric::Allocation alloc;
   alloc.reserve(tracker.flow_count());
@@ -155,7 +143,6 @@ void SebfScheduler::refresh_coflow(const SchedContext& ctx,
                                    const fabric::Coflow& c) {
   if (c.id >= cache_.size()) cache_.resize(c.id + 1);
   Cached& cc = cache_[c.id];
-  cc.valid = true;
   cc.flows.clear();
   const DirtyTracker& tracker = *ctx.tracker;
   for (const fabric::FlowId fid : c.flows) {
@@ -164,7 +151,7 @@ void SebfScheduler::refresh_coflow(const SchedContext& ctx,
     cc.flows.push_back(&f);
   }
   if (cc.flows.empty()) {
-    cc.gamma = 0;
+    cc = Cached{};  // free, not just clear: completed coflows linger
     index_.erase(c.id);
     return;
   }

@@ -3,7 +3,7 @@
 // coflow's flows get MADD rates (all finish together at Gamma), residual
 // capacity backfills the remaining coflows in the same order.
 //
-// With a DirtyTracker in the context (and no trace sink) the scheduler keeps
+// With a DirtyTracker in the context (traced or not) the scheduler keeps
 // per-coflow Gamma memoized in a RankIndex and re-derives only dirty coflows
 // per decision point; allocations stay bit-identical to the full recompute.
 #pragma once
@@ -36,13 +36,11 @@ class SebfScheduler final : public Scheduler {
   // --- incremental state, valid for one tracker session ---
   struct Cached {
     common::Seconds gamma = 0;
-    bool valid = false;
     /// Unfinished, unstalled flows, in coflow flow-id order (the engine's
     /// context order, so MADD's FP accumulation matches the full path).
     std::vector<const fabric::Flow*> flows;
   };
-  const DirtyTracker* bound_tracker_ = nullptr;
-  std::uint64_t session_ = 0;
+  DirtyWalk walk_;
   std::vector<Cached> cache_;  ///< by dense coflow id
   RankIndex index_;
   std::vector<common::Bytes> in_load_, out_load_;  ///< per-port scratch

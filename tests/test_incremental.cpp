@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "cpu/cpu_model.hpp"
+#include "obs/trace.hpp"
 #include "sched/dirty.hpp"
 #include "sched/rank_index.hpp"
 #include "sim/experiment.hpp"
@@ -298,6 +299,56 @@ TEST(DirtyTracker, CpuSamplingDirtiesOnValueChangesOnly) {
   tracker2.sample_cpu(windowed, 2.0);  // idle -> busy: both src ports moved
   EXPECT_EQ(tracker2.dirty().size(), 2u);
   EXPECT_EQ(tracker2.level(c0), sched::DirtyLevel::kRecompute);
+}
+
+// ---- Traced rounds take the incremental path ----
+
+TEST(IncrementalTraced, TracedRoundConsumesTheDirtySet) {
+  // A trace sink changes nothing about which path runs: every incremental
+  // scheduler consumes the dirty set, and FVDF logs estimates only for the
+  // coflows a round re-evaluates.
+  TrackerWorld w;
+  w.add_coflow({{0, 1}, {1, 2}});
+  w.add_coflow({{2, 0}});
+  w.add_coflow({{1, 0}, {2, 1}, {0, 2}});
+  w.flows[1].raw_remaining = 4e6;
+  w.flows[3].raw_remaining = 2e6;
+  const fabric::Fabric fabric(3, common::mbps(100));
+  const cpu::ConstantCpu cpu(0.9);
+  const auto estimates = [](const obs::Tracer& t) {
+    std::size_t n = 0;
+    for (const obs::TraceEvent& ev : t.events())
+      if (ev.name == "coflow_estimate") ++n;
+    return n;
+  };
+  for (const std::string name : {"FVDF", "DEADLINE-FVDF", "SEBF", "AALO"}) {
+    SCOPED_TRACE(name);
+    sched::DirtyTracker tracker(fabric.num_ports());
+    tracker.bind_flows(w.flows.data(), w.flows.size());
+    for (const fabric::Coflow& c : w.coflows) tracker.coflow_arrived(&c);
+    obs::Tracer tracer;
+    sched::SchedContext ctx;
+    ctx.fabric = &fabric;
+    ctx.cpu = &cpu;
+    ctx.codec = &codec::default_codec_model();
+    ctx.sink = &tracer;
+    ctx.tracker = &tracker;
+    for (const fabric::Flow& f : w.flows) ctx.flows.push_back(&f);
+    for (fabric::Coflow& c : w.coflows) ctx.coflows.push_back(&c);
+
+    auto sched = sim::make_scheduler(name);
+    sched->schedule(ctx);
+    EXPECT_TRUE(tracker.dirty().empty());
+    if (name != "FVDF") continue;
+    EXPECT_EQ(estimates(tracer), w.coflows.size());
+
+    // Nothing changed since: the next round re-evaluates no coflow.
+    ctx.now += ctx.slice;
+    ctx.coflow_event = false;
+    sched->schedule(ctx);
+    EXPECT_TRUE(tracker.dirty().empty());
+    EXPECT_EQ(estimates(tracer), w.coflows.size());
+  }
 }
 
 // ---- RankIndex unit tests ----

@@ -446,5 +446,13 @@ TEST(Cluster, RejectsZeroWorkers) {
   EXPECT_THROW(Cluster{config}, std::invalid_argument);
 }
 
+TEST(Cluster, RejectsZeroChunkBytes) {
+  // Blocks always travel as SWF2 chunk frames: there is no unchunked path
+  // for chunk_bytes == 0 to fall back to.
+  ClusterConfig config;
+  config.chunk_bytes = 0;
+  EXPECT_THROW(Cluster{config}, std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace swallow::runtime

@@ -4,6 +4,10 @@
 // about (1 - xi), and the priority upgrade prevents starvation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "obs/trace.hpp"
 #include "sim/experiment.hpp"
 
@@ -25,6 +29,41 @@ workload::Trace small_trace(std::uint64_t seed, std::size_t coflows = 30) {
   gen.width_hi = 5;
   gen.seed = seed;
   return workload::generate_trace(gen);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Every flow and coflow record, field by field, compared as bit patterns.
+void expect_bit_identical(const Metrics& a, const Metrics& b) {
+  ASSERT_EQ(a.flows.size(), b.flows.size());
+  for (std::size_t i = 0; i < a.flows.size(); ++i) {
+    const FlowRecord& x = a.flows[i];
+    const FlowRecord& y = b.flows[i];
+    EXPECT_EQ(x.id, y.id) << "flow " << i;
+    EXPECT_EQ(x.coflow, y.coflow) << "flow " << i;
+    EXPECT_EQ(x.job, y.job) << "flow " << i;
+    EXPECT_EQ(bits(x.original_bytes), bits(y.original_bytes)) << "flow " << i;
+    EXPECT_EQ(bits(x.wire_bytes), bits(y.wire_bytes)) << "flow " << i;
+    EXPECT_EQ(bits(x.arrival), bits(y.arrival)) << "flow " << i;
+    EXPECT_EQ(bits(x.completion), bits(y.completion)) << "flow " << i;
+  }
+  ASSERT_EQ(a.coflows.size(), b.coflows.size());
+  for (std::size_t i = 0; i < a.coflows.size(); ++i) {
+    const CoflowRecord& x = a.coflows[i];
+    const CoflowRecord& y = b.coflows[i];
+    EXPECT_EQ(x.id, y.id) << "coflow " << i;
+    EXPECT_EQ(x.job, y.job) << "coflow " << i;
+    EXPECT_EQ(x.width, y.width) << "coflow " << i;
+    EXPECT_EQ(bits(x.original_bytes), bits(y.original_bytes))
+        << "coflow " << i;
+    EXPECT_EQ(bits(x.wire_bytes), bits(y.wire_bytes)) << "coflow " << i;
+    EXPECT_EQ(bits(x.arrival), bits(y.arrival)) << "coflow " << i;
+    EXPECT_EQ(bits(x.completion), bits(y.completion)) << "coflow " << i;
+    EXPECT_EQ(bits(x.isolation_bound), bits(y.isolation_bound))
+        << "coflow " << i;
+    EXPECT_EQ(bits(x.deadline), bits(y.deadline)) << "coflow " << i;
+    EXPECT_EQ(x.rejected, y.rejected) << "coflow " << i;
+  }
 }
 
 class SimIntegration : public ::testing::Test {
@@ -145,14 +184,49 @@ TEST_F(SimIntegration, TracerObservesExactlyWhatMetricsRecord) {
   EXPECT_EQ(tracer.registry().counter("sim.coflows_completed").value(),
             m.coflows.size());
 
-  // An identical run with no sink attached must produce identical results:
-  // instrumentation is observation, never perturbation.
-  auto sched2 = make_scheduler("FVDF");
-  SimConfig quiet = config;
-  quiet.sink = nullptr;
-  const Metrics m2 = run_simulation(trace_, fabric, cpu_, *sched2, quiet);
-  EXPECT_DOUBLE_EQ(m.avg_cct(), m2.avg_cct());
-  EXPECT_DOUBLE_EQ(m.traffic_reduction(), m2.traffic_reduction());
+  // An identical run with no sink attached must produce identical results,
+  // bit for bit: instrumentation is observation, never perturbation, and
+  // traced and untraced runs take the same incremental scheduling path.
+  const auto expect_traced_equals_quiet = [&](const workload::Trace& trace,
+                                              const std::string& name,
+                                              const SimConfig& base) {
+    SCOPED_TRACE(name);
+    obs::Tracer sink;
+    SimConfig traced = base;
+    traced.sink = &sink;
+    SimConfig quiet = base;
+    quiet.sink = nullptr;
+    auto traced_sched = make_scheduler(name);
+    auto quiet_sched = make_scheduler(name);
+    expect_bit_identical(
+        run_simulation(trace, fabric, cpu_, *traced_sched, traced),
+        run_simulation(trace, fabric, cpu_, *quiet_sched, quiet));
+    EXPECT_GT(sink.size(), 0u);
+  };
+  for (const char* name : {"FVDF", "SEBF", "AALO"})
+    expect_traced_equals_quiet(trace_, name, config);
+
+  // DEADLINE-FVDF with admission on a degrading fabric: bands, horizons,
+  // admission verdicts, shedding and the sticky fault fallback.
+  workload::GeneratorConfig gen;
+  gen.num_ports = 10;
+  gen.num_coflows = 30;
+  gen.mean_interarrival = 0.5;
+  gen.size_lo = 1e6;
+  gen.size_hi = 1e9;
+  gen.size_alpha = 0.3;
+  gen.width_lo = 1;
+  gen.width_hi = 5;
+  gen.seed = 21;
+  gen.deadline_fraction = 0.5;
+  gen.deadline_ref_bandwidth = mbps(100);
+  const workload::Trace deadlines = workload::generate_trace(gen);
+  SimConfig slo = config;
+  slo.admission.enabled = true;
+  slo.degradation.rate = 0.1;
+  slo.degradation.seed = 9;
+  slo.degradation.failure_fraction = 0.3;
+  expect_traced_equals_quiet(deadlines, "DEADLINE-FVDF", slo);
 }
 
 TEST(Starvation, UpgradeBoundsLargeCoflowWait) {

@@ -3,9 +3,10 @@
 // output is well-formed JSON with monotonically ordered timestamps, matched
 // B/E pairs per (pid, tid) track, and the scheduler-decision events the
 // observability layer promises (Γ_C estimates, β decisions, arrivals,
-// completions) for every scheduling round.
+// completions) for every coflow the scheduler re-evaluates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <sstream>
@@ -31,6 +32,50 @@ workload::Trace tiny_trace() {
   gen.width_hi = 3;
   gen.seed = 7;
   return workload::generate_trace(gen);
+}
+
+// (ts, coflow) -> (gamma, key) of every coflow_estimate a traced replay at
+// 100 Mbps logs.
+using Estimates =
+    std::map<std::pair<double, double>, std::pair<double, double>>;
+
+Estimates logged_estimates(const workload::Trace& trace,
+                           const std::string& scheduler, bool incremental) {
+  obs::Tracer tracer;
+  const fabric::Fabric fabric(trace.num_ports, common::mbps(100));
+  const cpu::ConstantCpu cpu(0.9);
+  auto sched = sim::make_scheduler(scheduler);
+  sim::SimConfig config;
+  config.codec = &codec::default_codec_model();
+  config.sink = &tracer;
+  config.incremental_sched = incremental;
+  sim::run_simulation(trace, fabric, cpu, *sched, config);
+  Estimates out;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (ev.name != "coflow_estimate") continue;
+    const obs::JsonValue args = obs::parse_json(ev.args);
+    out[{ev.ts, args.find("coflow")->number}] = {args.find("gamma")->number,
+                                                 args.find("key")->number};
+  }
+  return out;
+}
+
+// Every estimate the incremental path logs equals the one the full
+// recompute logs at the same instant for the same coflow.
+void expect_estimates_match_full_recompute(const workload::Trace& trace,
+                                           const std::string& scheduler) {
+  SCOPED_TRACE(scheduler);
+  const Estimates inc = logged_estimates(trace, scheduler, true);
+  const Estimates full = logged_estimates(trace, scheduler, false);
+  ASSERT_FALSE(inc.empty());
+  for (const auto& [at, logged] : inc) {
+    const auto it = full.find(at);
+    ASSERT_NE(it, full.end()) << "ts " << at.first << " coflow " << at.second;
+    EXPECT_EQ(logged.first, it->second.first)
+        << "gamma at ts " << at.first << " coflow " << at.second;
+    EXPECT_EQ(logged.second, it->second.second)
+        << "key at ts " << at.first << " coflow " << at.second;
+  }
 }
 
 class TraceExport : public ::testing::Test {
@@ -123,34 +168,69 @@ TEST_F(TraceExport, DurationEventsFormMatchedPairs) {
   EXPECT_GT(pairs, 0);  // sim.schedule / fvdf.allocate scopes fired
 }
 
-TEST_F(TraceExport, SchedulerDecisionEventsCoverEveryRound) {
-  // Each scheduling round that saw live coflows must log Γ_C (gamma),
-  // priority, the effective key, and per-flow β decisions at that instant.
-  std::set<double> estimate_ts, beta_ts;
+TEST_F(TraceExport, SchedulerDecisionEventsCoverArrivalsAndMatchFullRecompute) {
+  // The traced run takes the incremental path, which logs Γ_C (gamma),
+  // priority, the effective key and per-flow β decisions for exactly the
+  // coflows each round re-evaluates — not every coflow every round.
+  std::set<std::pair<double, double>> estimated;  // (ts, coflow)
   for (const obs::JsonValue* ev : events_named("coflow_estimate")) {
     const obs::JsonValue* args = ev->find("args");
     ASSERT_NE(args, nullptr);
     EXPECT_NE(args->find("gamma"), nullptr);
     EXPECT_NE(args->find("priority"), nullptr);
     EXPECT_NE(args->find("key"), nullptr);
-    estimate_ts.insert(ev->find("ts")->number);
+    estimated.insert({ev->find("ts")->number, args->find("coflow")->number});
   }
-  for (const obs::JsonValue* ev : events_named("beta_decision")) {
+  ASSERT_FALSE(estimated.empty());
+  const auto betas = events_named("beta_decision");
+  ASSERT_FALSE(betas.empty());
+  for (const obs::JsonValue* ev : betas)
     EXPECT_NE(ev->find("args")->find("beta"), nullptr);
-    beta_ts.insert(ev->find("ts")->number);
-  }
-  EXPECT_FALSE(estimate_ts.empty());
-  EXPECT_FALSE(beta_ts.empty());
 
-  int covered_rounds = 0;
-  for (const obs::JsonValue* ev : events_named("schedule_round")) {
-    if (ev->find("args")->find("coflows")->number < 1) continue;
-    const double ts = ev->find("ts")->number;
-    EXPECT_TRUE(estimate_ts.count(ts)) << "round at ts " << ts;
-    EXPECT_TRUE(beta_ts.count(ts)) << "round at ts " << ts;
-    ++covered_rounds;
+  // 1. Every coflow is evaluated at its arrival round: the first scheduling
+  //    round at or after its arrival instant. Arrival events carry the
+  //    trace id; estimates carry the engine's dense id (trace position).
+  std::vector<double> round_ts;
+  for (const obs::JsonValue* ev : events_named("schedule_round"))
+    round_ts.push_back(ev->find("ts")->number);
+  std::map<double, double> dense_of;
+  for (std::size_t i = 0; i < trace_.coflows.size(); ++i)
+    dense_of[static_cast<double>(trace_.coflows[i].id)] =
+        static_cast<double>(i);
+  const auto arrivals = events_named("coflow_arrival");
+  ASSERT_EQ(arrivals.size(), trace_.coflows.size());
+  for (const obs::JsonValue* ev : arrivals) {
+    const double arrival = ev->find("ts")->number;
+    const double coflow = dense_of.at(ev->find("args")->find("coflow")->number);
+    const auto round =
+        std::lower_bound(round_ts.begin(), round_ts.end(), arrival - 1e-3);
+    ASSERT_NE(round, round_ts.end()) << "coflow " << coflow;
+    EXPECT_TRUE(estimated.count({*round, coflow}))
+        << "coflow " << coflow << " arrival round " << *round;
   }
-  EXPECT_GT(covered_rounds, 0);
+
+  // 2. Each logged estimate is the one the full recompute logs at the same
+  //    instant for the same coflow.
+  expect_estimates_match_full_recompute(trace_, "FVDF");
+}
+
+TEST_F(TraceExport, DeadlineEstimatesMatchFullRecompute) {
+  // DEADLINE-FVDF re-bands estimates (EDF keys, degraded Γ): both paths log
+  // the Γ and key the rank order used, not the plain FVDF ones.
+  workload::GeneratorConfig gen;
+  gen.num_ports = 10;
+  gen.num_coflows = 30;
+  gen.mean_interarrival = 0.3;
+  gen.size_lo = 1e5;
+  gen.size_hi = 2e8;
+  gen.size_alpha = 0.2;
+  gen.width_lo = 1;
+  gen.width_hi = 5;
+  gen.seed = 3;
+  gen.deadline_fraction = 0.7;
+  gen.deadline_ref_bandwidth = common::mbps(100);
+  expect_estimates_match_full_recompute(workload::generate_trace(gen),
+                                        "DEADLINE-FVDF");
 }
 
 TEST_F(TraceExport, LifecycleEventsMatchSimulationOutcome) {
