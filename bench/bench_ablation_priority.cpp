@@ -7,7 +7,7 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv, {"small_coflows"});
   const auto small_coflows =
       static_cast<std::size_t>(flags.get_int("small_coflows", 150));
 

@@ -101,7 +101,9 @@ void emit_registry(const obs::Registry& registry) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv,
+      {"bandwidth-mbps", "checkpoint-every", "coflows", "log-level", "runs",
+       "seed", "slice", "threads"});
   common::apply_log_level_flag(flags);
   const std::size_t coflows =
       static_cast<std::size_t>(flags.get_int("coflows", 40));

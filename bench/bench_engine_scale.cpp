@@ -253,7 +253,9 @@ void emit_registry(const obs::Registry& registry) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv,
+      {"full-iters", "inc-iters", "log-level", "max-n", "min-speedup", "ports",
+       "width"});
   common::apply_log_level_flag(flags);
   const std::size_t max_n =
       static_cast<std::size_t>(flags.get_int("max-n", 100000));

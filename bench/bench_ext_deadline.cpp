@@ -18,7 +18,8 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv,
+      {"coflows", "deadline_fraction", "seed", "threads"});
   const auto coflows = static_cast<std::size_t>(flags.get_int("coflows", 60));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2));
   const double fraction = flags.get_double("deadline_fraction", 0.7);

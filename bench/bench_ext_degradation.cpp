@@ -17,7 +17,8 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv,
+      {"coflows", "degrade_seed", "scheduler", "seed", "threads"});
   const auto coflows = static_cast<std::size_t>(flags.get_int("coflows", 30));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
   const auto degrade_seed =

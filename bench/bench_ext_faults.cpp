@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv, {"fault_seed", "jobs", "threads"});
   const auto jobs = static_cast<std::size_t>(flags.get_int("jobs", 6));
   const auto fault_seed =
       static_cast<std::uint64_t>(flags.get_int("fault_seed", 7));

@@ -6,7 +6,7 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv, {"flows", "seed"});
   const auto flows = static_cast<std::size_t>(flags.get_int("flows", 20000));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
 

@@ -6,7 +6,7 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv, {"horizon", "seed"});
 
   bench::print_header(
       "Fig. 2 - CPU utilization and idle periods vs NIC speed",

@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv, {"partition_bytes"});
   const auto part = static_cast<std::size_t>(
       flags.get_int("partition_bytes", 192 * 1024));
 

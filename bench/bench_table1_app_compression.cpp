@@ -6,7 +6,7 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv, {"block_bytes"});
   const auto block = static_cast<std::size_t>(
       flags.get_int("block_bytes", 1 << 18));
 

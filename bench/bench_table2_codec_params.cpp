@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv, {"payload_bytes"});
   const auto bytes =
       static_cast<std::size_t>(flags.get_int("payload_bytes", 8 << 20));
 

@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv, {"max_real_bytes"});
   const auto max_real =
       static_cast<std::size_t>(flags.get_int("max_real_bytes", 64 << 20));
 

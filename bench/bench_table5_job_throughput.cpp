@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv, {"seed", "unit_seconds"});
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 41));
   const double unit = flags.get_double("unit_seconds", 60.0);
 

@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv, {"scale_down"});
   const double scale_down = flags.get_double("scale_down", 16384.0);
 
   bench::print_header(

@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv, {});
 
   bench::print_header(
       "Table VIII - buffer reclamation time (GC-time analog), map/reduce",

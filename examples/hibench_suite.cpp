@@ -14,7 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv,
+      {"fault-rate", "fault-seed", "nic_mib", "partition_kb"});
   const auto partition = static_cast<std::size_t>(
       flags.get_int("partition_kb", 384) * 1024);
   const double nic =

@@ -19,7 +19,8 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv,
+      {"coflows", "log-level", "ports", "seed", "trace-out"});
   common::apply_log_level_flag(flags);
   const std::unique_ptr<obs::Tracer> tracer = obs::tracer_from_flags(flags);
 

@@ -16,7 +16,9 @@
 int main(int argc, char** argv) {
   using namespace swallow;
   using namespace swallow::runtime;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv,
+      {"block_bytes", "chunk-bytes", "codec-threads", "fault-rate",
+       "fault-seed", "log-level", "smartCompress", "trace-out"});
   common::apply_log_level_flag(flags);
   // --trace-out records master decisions plus per-push/pull wall-clock
   // profiles; the global sink additionally captures codec-level scopes.

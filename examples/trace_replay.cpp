@@ -48,7 +48,14 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv,
+      {"admission", "admission-max-slo-share", "admission-reject-margin",
+       "admission-shed", "bandwidth_mbps", "checkpoint-every", "chunk-bytes",
+       "codec", "codec-threads", "coflows", "cpu_headroom", "crash-at-event",
+       "crash-mid-snapshot", "csv", "deadline-fraction", "deadline-slack-hi",
+       "deadline-slack-lo", "degrade-rate", "degrade-seed", "interarrival",
+       "ports", "recovery-dir", "restore", "scheduler", "seed", "slice_ms",
+       "torn-tail", "trace", "width", "write_trace"});
 
   workload::Trace trace;
   if (flags.has("trace")) {

@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace swallow;
-  const common::Flags flags(argc, argv);
+  const common::Flags flags(argc, argv, {"fb_trace", "flows", "seed", "trace"});
 
   workload::Trace trace;
   if (flags.has("trace")) {

@@ -1,5 +1,6 @@
 #include "common/flags.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -7,15 +8,19 @@
 
 namespace swallow::common {
 
-Flags::Flags(int argc, const char* const* argv) {
+Flags::Flags(int argc, const char* const* argv,
+             std::initializer_list<std::string_view> declared) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0)
       throw std::invalid_argument("Flags: expected --key[=value], got " + arg);
     arg = arg.substr(2);
     const auto eq = arg.find('=');
+    const std::string key = arg.substr(0, eq);
+    if (std::find(declared.begin(), declared.end(), key) == declared.end())
+      throw std::invalid_argument("Flags: unknown flag --" + key);
     if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      values_[key] = arg.substr(eq + 1);
       continue;
     }
     // "--key value": consume the next token unless it is itself a flag.

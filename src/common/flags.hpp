@@ -1,17 +1,24 @@
 // Minimal --key=value command-line parser for bench/example binaries.
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace swallow::common {
 
 class Flags {
  public:
   /// Accepts "--key=value", "--key value" (the next token, when it does not
-  /// itself start with "--"), and bare "--key" (=> "true"); rejects
-  /// positionals.
-  Flags(int argc, const char* const* argv);
+  /// itself start with "--"), and bare "--key" (=> "true"). Throws
+  /// std::invalid_argument on a positional and on a key not in `declared`,
+  /// naming it: a misspelled or unsupported flag stops the program instead
+  /// of leaving a default in place. Every program declares all the flags
+  /// it reads, including "log-level" when it calls apply_log_level_flag and
+  /// "trace-out" when it calls the obs/cli.hpp helpers.
+  Flags(int argc, const char* const* argv,
+        std::initializer_list<std::string_view> declared);
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& def) const;

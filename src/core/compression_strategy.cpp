@@ -12,15 +12,15 @@ common::Bps flow_bottleneck(const fabric::Flow& flow,
 
 CompressionDecision compression_strategy(const fabric::Flow& flow,
                                          const codec::CodecModel& codec,
-                                         const cpu::CpuProvider& cpu,
-                                         const fabric::Fabric& fabric,
-                                         common::Seconds now) {
+                                         double cpu_headroom,
+                                         bool cpu_can_compress,
+                                         const fabric::Fabric& fabric) {
   CompressionDecision decision;
   decision.bandwidth = flow_bottleneck(flow, fabric);
-  decision.cpu_headroom = cpu.headroom(flow.src, now);
+  decision.cpu_headroom = cpu_headroom;
   if (!flow.compressible) return decision;
   if (flow.raw_remaining <= fabric::kVolumeEpsilon) return decision;
-  if (!cpu.can_compress(flow.src, now)) return decision;
+  if (!cpu_can_compress) return decision;
   // Eq. 3 with the flow's own ratio when the workload specifies one.
   const double ratio = flow.effective_ratio(codec.ratio);
   const double headroom = std::clamp(decision.cpu_headroom, 0.0, 1.0);

@@ -26,10 +26,23 @@ struct CompressionDecision {
 common::Bps flow_bottleneck(const fabric::Flow& flow,
                             const fabric::Fabric& fabric);
 
+/// The gate on the sender's CPU state as read at the decision point:
+/// `cpu_headroom` and `cpu_can_compress` are headroom(src, now) and
+/// can_compress(src, now), normally from the round's cpu::CpuSample.
 CompressionDecision compression_strategy(const fabric::Flow& flow,
                                          const codec::CodecModel& codec,
-                                         const cpu::CpuProvider& cpu,
-                                         const fabric::Fabric& fabric,
-                                         common::Seconds now);
+                                         double cpu_headroom,
+                                         bool cpu_can_compress,
+                                         const fabric::Fabric& fabric);
+
+/// The same gate, reading the sender's CPU state from `cpu` at `now`.
+inline CompressionDecision compression_strategy(const fabric::Flow& flow,
+                                                const codec::CodecModel& codec,
+                                                const cpu::CpuProvider& cpu,
+                                                const fabric::Fabric& fabric,
+                                                common::Seconds now) {
+  return compression_strategy(flow, codec, cpu.headroom(flow.src, now),
+                              cpu.can_compress(flow.src, now), fabric);
+}
 
 }  // namespace swallow::core

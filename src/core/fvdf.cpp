@@ -59,6 +59,17 @@ common::Seconds expected_fct(const fabric::Flow& flow, bool beta,
                         .str());
 }
 
+EvalEnv eval_env(const sched::SchedContext& ctx) {
+  EvalEnv env{ctx.fabric, nullptr, ctx.codec, ctx.now, ctx.slice};
+  if (ctx.cpu != nullptr) {
+    const std::size_t ports = ctx.fabric->num_ports();
+    if (!ctx.cpu_sample.holds(*ctx.cpu, ports, ctx.now))
+      ctx.cpu_sample.take(*ctx.cpu, ports, ctx.now);
+    env.cpu = &ctx.cpu_sample;
+  }
+  return env;
+}
+
 [[gnu::noinline]] FlowEval evaluate_flow(const EvalEnv& env,
                                          const fabric::Flow& f,
                                          bool force_compression) {
@@ -66,13 +77,13 @@ common::Seconds expected_fct(const fabric::Flow& flow, bool beta,
   double headroom = 0.0;
   const common::Bps bandwidth = flow_bottleneck(f, *env.fabric);
   if (env.codec != nullptr && env.cpu != nullptr) {
-    const CompressionDecision d =
-        compression_strategy(f, *env.codec, *env.cpu, *env.fabric, env.now);
+    const bool gate = env.cpu->can_compress(f.src);
+    const CompressionDecision d = compression_strategy(
+        f, *env.codec, env.cpu->headroom(f.src), gate, *env.fabric);
     headroom = d.cpu_headroom;
     beta = d.enabled ||
            (force_compression && f.compressible &&
-            f.raw_remaining > fabric::kVolumeEpsilon &&
-            env.cpu->can_compress(f.src, env.now));
+            f.raw_remaining > fabric::kVolumeEpsilon && gate);
   }
   // A failed link (current bottleneck 0) makes Eq. 7 unbounded: the flow
   // cannot transmit until the port recovers, so its coflow ranks last

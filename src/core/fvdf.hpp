@@ -36,15 +36,18 @@ common::Seconds expected_fct(const fabric::Flow& flow, bool beta,
 /// FVDF-NC ablation can null out the codec — without copying a context.
 struct EvalEnv {
   const fabric::Fabric* fabric = nullptr;
-  const cpu::CpuProvider* cpu = nullptr;
+  /// Per-port CPU state at `now`; null (no CPU) disables compression.
+  const cpu::CpuSample* cpu = nullptr;
   const codec::CodecModel* codec = nullptr;  ///< null disables compression
   common::Seconds now = 0;
   common::Seconds slice = common::kDefaultSlice;
 };
 
-inline EvalEnv eval_env(const sched::SchedContext& ctx) {
-  return EvalEnv{ctx.fabric, ctx.cpu, ctx.codec, ctx.now, ctx.slice};
-}
+/// The context's evaluation inputs. Its CPU terms come from
+/// ctx.cpu_sample, which the engine takes at every decision point; a
+/// hand-built context whose sample does not hold for (cpu, ports, now)
+/// gets it taken here.
+EvalEnv eval_env(const sched::SchedContext& ctx);
 
 struct FlowEval {
   bool beta = false;        ///< compression decision for the coming slice

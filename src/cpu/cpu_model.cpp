@@ -10,6 +10,18 @@ bool CpuProvider::can_compress(NodeId node, common::Seconds t) const {
   return headroom(node, t) >= kMinCompressionHeadroom;
 }
 
+void CpuSample::take(const CpuProvider& cpu, std::size_t nodes,
+                     common::Seconds t) {
+  cpu_ = &cpu;
+  t_ = t;
+  headroom_.resize(nodes);
+  gate_.resize(nodes);
+  for (std::size_t n = 0; n < nodes; ++n) {
+    headroom_[n] = cpu.headroom(static_cast<NodeId>(n), t);
+    gate_[n] = cpu.can_compress(static_cast<NodeId>(n), t) ? 1 : 0;
+  }
+}
+
 common::Seconds CpuProvider::headroom_constant_until(NodeId,
                                                      common::Seconds t) const {
   // No promise: unknown providers may vary arbitrarily, so the engine must

@@ -35,6 +35,30 @@ class CpuProvider {
                                                   common::Seconds t) const;
 };
 
+/// One read of every node's headroom and compression gate at one instant.
+/// A scheduling decision point prices every Eq. 3 / Eq. 7 term from one
+/// sample, so the provider is read once per node per round, not once per
+/// evaluated flow. Provider methods are const functions of (node, t), so a
+/// sample answers with the provider's own bits.
+class CpuSample {
+ public:
+  /// Reads headroom and can_compress for nodes [0, nodes) at `t`.
+  void take(const CpuProvider& cpu, std::size_t nodes, common::Seconds t);
+  /// True iff this is a sample of `cpu` over `nodes` nodes at `t`.
+  bool holds(const CpuProvider& cpu, std::size_t nodes,
+             common::Seconds t) const {
+    return cpu_ == &cpu && t_ == t && headroom_.size() == nodes;
+  }
+  double headroom(NodeId node) const { return headroom_[node]; }
+  bool can_compress(NodeId node) const { return gate_[node] != 0; }
+
+ private:
+  const CpuProvider* cpu_ = nullptr;
+  common::Seconds t_ = 0;
+  std::vector<double> headroom_;
+  std::vector<char> gate_;
+};
+
 /// Minimum headroom for the compression gate to open.
 inline constexpr double kMinCompressionHeadroom = 0.05;
 

@@ -71,8 +71,7 @@ void DirtyTracker::port_capacity_changed(fabric::PortId p) {
   dirty_residents(dst_residents_[p]);
 }
 
-void DirtyTracker::sample_cpu(const cpu::CpuProvider& cpu,
-                              common::Seconds now) {
+void DirtyTracker::sample_cpu(const cpu::CpuSample& sample) {
   // Value-based change detection: the cached Eq. 3 / Eq. 7 terms depend on
   // the CPU only through headroom(src, t) and can_compress(src, t), so a
   // provider that wanders but returns to the previously sampled values by
@@ -80,8 +79,8 @@ void DirtyTracker::sample_cpu(const cpu::CpuProvider& cpu,
   // compression runs at the sender.
   const std::size_t ports = src_residents_.size();
   for (fabric::PortId p = 0; p < ports; ++p) {
-    const double h = cpu.headroom(p, now);
-    const char gate = cpu.can_compress(p, now) ? 1 : 0;
+    const double h = sample.headroom(p);
+    const char gate = sample.can_compress(p) ? 1 : 0;
     if (cpu_sampled_ && h == cpu_headroom_[p] && gate == cpu_gate_[p])
       continue;
     const bool changed = cpu_sampled_;

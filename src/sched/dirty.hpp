@@ -72,10 +72,11 @@ class DirtyTracker {
   /// A port's capacity multiplier changed: dirties exactly the coflows
   /// resident on the port (and lazily prunes completed residents).
   void port_capacity_changed(fabric::PortId p);
-  /// Samples per-port CPU headroom and the Eq. 3 can_compress gate, and
-  /// dirties the coflows sourced at ports whose values changed since the
-  /// previous sample. Call once per decision point, before schedule().
-  void sample_cpu(const cpu::CpuProvider& cpu, common::Seconds now);
+  /// Compares the decision point's per-port CPU sample (headroom and the
+  /// Eq. 3 can_compress gate) with the previous one, and dirties the
+  /// coflows sourced at ports whose values changed. Call once per decision
+  /// point, before schedule(); the sample covers every port.
+  void sample_cpu(const cpu::CpuSample& sample);
 
   // ---- consumer side (the scheduler) ----
 

@@ -38,20 +38,13 @@ struct SchedContext {
   /// Optional coflow grouping of `flows`: when non-empty it has
   /// coflows.size() + 1 entries and the unfinished flows of coflows[i] are
   /// exactly flows[coflow_flow_offsets[i], coflow_flow_offsets[i+1]).
-  /// The simulation engine fills this for free (it already walks coflow by
-  /// coflow), letting core::time_calculation skip its per-round hash-map
-  /// rebuild. Hand-built contexts may leave it empty; consumers must fall
-  /// back to grouping by Flow::coflow themselves.
+  /// The simulation engine keeps all three lists as its persistent live
+  /// set (arrivals append, folds compact), letting core::time_calculation
+  /// skip its per-round hash-map rebuild. Hand-built contexts may leave it
+  /// empty; consumers must fall back to grouping by Flow::coflow themselves.
   std::vector<std::size_t> coflow_flow_offsets;
   bool grouped() const {
     return coflow_flow_offsets.size() == coflows.size() + 1;
-  }
-  /// Resets the per-round vectors while keeping their capacity, so one
-  /// context object can be reused across scheduling rounds.
-  void clear_round() {
-    flows.clear();
-    coflows.clear();
-    coflow_flow_offsets.clear();
   }
   /// Codec available for compression; nullptr disables compression globally.
   const codec::CodecModel* codec = nullptr;
@@ -71,6 +64,12 @@ struct SchedContext {
   /// full-recompute path; otherwise they run the incremental one, traced or
   /// not.
   DirtyTracker* tracker = nullptr;
+  /// Per-port CPU headroom and compression gate at `now`, read once per
+  /// decision point: the dirty tracker's CPU rule, the Eq. 3 gate and
+  /// Eq. 7 all price from it. The engine takes it before schedule();
+  /// core::eval_env takes it for a hand-built context whose sample does
+  /// not hold for (cpu, fabric ports, now).
+  mutable cpu::CpuSample cpu_sample;
   /// Scratch for transmittable_flows(): reused across rounds so the stall
   /// filter stops allocating once its capacity stabilizes.
   mutable std::vector<const fabric::Flow*> transmittable_scratch;

@@ -17,15 +17,20 @@
 #include "recovery/journal.hpp"
 #include "recovery/snapshot.hpp"
 #include "sched/dirty.hpp"
+#include "sim/segment.hpp"
 
 namespace swallow::sim {
 
 namespace {
 
-constexpr double kTiny = 1e-12;
+using segment::FlowSeg;
+using segment::first_true_near;
+using segment::kNoEvent;
+using segment::kTiny;
+using segment::materialize_flow;
+
 /// Consecutive zero-progress slices tolerated before declaring deadlock.
 constexpr std::int64_t kMaxStalledSlices = 100000;
-constexpr std::uint64_t kNoEvent = ~std::uint64_t{0};
 
 struct SimCoflow {
   fabric::Coflow state;
@@ -37,102 +42,6 @@ struct SimCoflow {
   /// not rescan the whole coflow.
   common::Seconds completion_max = fabric::kNeverCompleted;
 };
-
-/// Per-flow snapshot taken at a segment boundary. Between two consecutive
-/// fold points (schedule round, CPU-headroom re-evaluation) every rate, beta
-/// and capacity is constant, so a flow's pools after j whole slices are a
-/// pure function of the snapshot and j — the canonical formulas below.
-/// BOTH engine modes evaluate exactly these formulas at exactly the same
-/// boundaries; the event-driven mode merely skips the interior boundaries
-/// where nothing can happen. That is what makes Metrics byte-identical
-/// across modes (DESIGN.md section 10).
-struct FlowSeg {
-  enum Mode : std::uint8_t { kIdle = 0, kTransmit = 1, kCompress = 2,
-                             kBlocked = 3 };
-  double d0 = 0;      ///< raw_remaining at segment start
-  double D0 = 0;      ///< compressed_pending at segment start
-  double sent0 = 0;   ///< sent at segment start
-  double sentc0 = 0;  ///< sent_compressed at segment start
-  double step = 0;    ///< bytes disposed per whole slice
-  double rate = 0;    ///< transmit rate r, or effective compression speed
-  double ratio = 0;   ///< effective compression ratio (compress mode)
-  std::uint64_t event_j = kNoEvent;  ///< first slice index (1-based within
-                                     ///< the segment) with a flow event
-  std::uint64_t epoch = 0;           ///< valid iff == current segment epoch
-  Mode mode = kIdle;
-};
-
-/// Smallest j >= 1 with pred(j), for a monotone predicate (geometric
-/// expansion then binary search). Saturates at 2^62 when pred never holds
-/// in range — callers treat that as "no event".
-template <typename Pred>
-std::uint64_t first_true(Pred&& pred) {
-  constexpr std::uint64_t kCap = std::uint64_t{1} << 62;
-  std::uint64_t lo = 1, hi = 1;
-  while (!pred(hi)) {
-    lo = hi + 1;
-    if (hi >= kCap) return kCap;
-    hi *= 2;
-  }
-  while (lo < hi) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (pred(mid)) hi = mid;
-    else lo = mid + 1;
-  }
-  return lo;
-}
-
-/// first_true seeded with an algebraic estimate of the boundary. The
-/// estimate only has to be within a few ulps of rounding error — the local
-/// walk lands on the exact same minimal j the blind search would find (the
-/// minimum of a monotone predicate is unique), it just skips the ~60
-/// predicate evaluations of the geometric expansion. Falls back to the
-/// blind search when the guess is far off (degenerate inputs).
-template <typename Pred>
-std::uint64_t first_true_near(double guess, Pred&& pred) {
-  constexpr std::uint64_t kCap = std::uint64_t{1} << 62;
-  if (!(guess >= 1)) guess = 1;
-  if (guess >= 9.2e18) return first_true(pred);
-  std::uint64_t j = static_cast<std::uint64_t>(guess);
-  if (j < 1) j = 1;
-  if (j > kCap) j = kCap;
-  for (int i = 0; i < 8; ++i) {
-    if (pred(j)) {
-      if (j == 1 || !pred(j - 1)) return j;
-      --j;
-    } else {
-      if (j >= kCap) return kCap;
-      ++j;
-      if (pred(j)) return j;
-    }
-  }
-  return first_true(pred);
-}
-
-/// Canonical per-segment flow evolution (shared by both engine modes).
-/// Transmit drains compressed-then-raw at `step` bytes per slice:
-///   w(j)  = min(d0 + D0, j * step)           cumulative wire bytes
-///   wc(j) = min(D0, w(j))                    ... of which compressed
-///   d(j)  = d0 - min(d0, max(0, w(j) - D0))
-/// Compression converts raw at `step` bytes per slice:
-///   cc(j) = min(d0, j * step)                cumulative raw consumed
-///   d(j)  = d0 - cc(j),  D(j) = D0 + cc(j) * ratio
-/// All monotone in j, so event detection is a monotone-predicate search.
-void materialize_flow(fabric::Flow& f, const FlowSeg& s, std::uint64_t j) {
-  if (s.mode == FlowSeg::kTransmit) {
-    const double w = std::min(s.d0 + s.D0, static_cast<double>(j) * s.step);
-    const double wc = std::min(s.D0, w);
-    f.raw_remaining = s.d0 - std::min(s.d0, std::max(0.0, w - s.D0));
-    f.compressed_pending = s.D0 - wc;
-    f.sent = s.sent0 + w;
-    f.sent_compressed = s.sentc0 + wc;
-  } else if (s.mode == FlowSeg::kCompress) {
-    const double cc = std::min(s.d0, static_cast<double>(j) * s.step);
-    f.raw_remaining = s.d0 - cc;
-    f.compressed_pending = s.D0 + cc * s.ratio;
-  }
-  // kIdle/kBlocked flows do not move.
-}
 
 /// Section tags for the snapshot payload: a skewed or truncated payload
 /// fails on a named section instead of silently misparsing.
@@ -362,7 +271,12 @@ class Engine {
     // change before the first decision is not a "flip".
     decided.assign(flows.size(), 0);
     seg.assign(flows.size(), FlowSeg{});
+    coflow_touched.assign(coflows.size(), 0);
     seg_cpu.assign(fabric.num_ports(), SegCpu{});
+    if (config.validate_allocations) {
+      port_in_sum.assign(fabric.num_ports(), 0.0);
+      port_out_sum.assign(fabric.num_ports(), 0.0);
+    }
 
     // ---- Incremental-scheduling event feed (DESIGN.md section 11). ----
     // flows is reserved up front, so the bound pointer stays valid for the
@@ -378,8 +292,9 @@ class Engine {
     for (fabric::PortId p = 0; p < fabric.num_ports(); ++p)
       egress_capacity_total += fabric.egress_capacity(p);
 
-    // Reusable scheduling context (clear_round() keeps the vectors'
-    // capacity, so steady-state rounds do not reallocate).
+    // The scheduling context doubles as the live set (append_live,
+    // fold_live): it starts with no coflow and one offset.
+    ctx.coflow_flow_offsets.assign(1, 0);
     ctx.fabric = &live;
     ctx.cpu = &cpu;
     ctx.slice = config.slice;
@@ -465,6 +380,7 @@ class Engine {
     f.compressed_pending = 0;
     f.completion = when;
     need_schedule = true;
+    live_stale = true;
     if (track) tracker.coflow_changed(f.coflow);
     if (sink != nullptr) [[unlikely]]
       ColdEmit::flow_complete(sink, when, std::int64_t(f.id),
@@ -509,6 +425,7 @@ class Engine {
     ++rejected;
     if (midflight) {
       ++sstats.shed_midflight;
+      live_stale = true;
       // The scheduler sees a coflow whose flows are all done and drops it
       // from its memoized rank state.
       if (track) tracker.coflow_changed(sc.state.id);
@@ -521,19 +438,66 @@ class Engine {
                                 midflight, shed);
   }
 
-  // Writes every live snapshot member back into its flow's pools at the
-  // current boundary. Fold points are mode-independent (schedule rounds and
-  // CPU-headroom re-evaluations), which keeps the FP evaluation order — and
-  // therefore every emitted metric — identical across engine modes.
-  void materialize_segment() {
-    for (const fabric::FlowId fid : seg_flows) {
-      FlowSeg& s = seg[fid];
-      if (s.epoch != seg_epoch) continue;  // settled by an event
-      fabric::Flow& f = flows[fid];
-      if (!f.completed()) materialize_flow(f, s, seg_j);
-      s.epoch = 0;
+  // ---- The live set (DESIGN.md section 10). ----
+  // ctx.coflows, ctx.flows and ctx.coflow_flow_offsets are the engine's one
+  // persistent list of arrived coflows and their unfinished flows, in
+  // coflow-then-flow order. Arrivals append; fold_live() compacts. At every
+  // decision point and every segment cut the list is exactly the
+  // unfinished flows of `active`, in its order, which is what the
+  // scheduler reads and the order every per-flow walk below follows. Its
+  // entries point into `flows`, so an entry's id is its offset there.
+  void append_live(SimCoflow& sc) {
+    ctx.coflows.push_back(&sc.state);
+    for (const fabric::FlowId fid : sc.state.flows)
+      if (!flows[fid].done()) ctx.flows.push_back(&flows[fid]);
+    ctx.coflow_flow_offsets.push_back(ctx.flows.size());
+  }
+
+  // The fold walk. Writes every moving snapshot member (transmitting or
+  // compressing; idle and blocked flows do not move) back into its flow's
+  // pools at the current boundary, then compacts the live list: completed
+  // and shed coflows leave whole, and only coflows with a moving or
+  // finished flow are searched for finished flows — a flow's volume
+  // changes only by moving or by finishing. Fold points are
+  // mode-independent (schedule rounds and CPU-headroom re-evaluations),
+  // which keeps the FP evaluation order — and therefore every emitted
+  // metric — identical across engine modes.
+  void fold_live() {
+    if (seg_valid) {
+      for (const fabric::FlowId fid : seg_moving) {
+        fabric::Flow& f = flows[fid];
+        FlowSeg& s = seg[fid];
+        coflow_touched[f.coflow] = 1;
+        if (s.epoch != seg_epoch) continue;  // settled by an event
+        if (!f.completed()) materialize_flow(f, s, seg_j);
+        s.epoch = 0;
+      }
     }
+    std::vector<const fabric::Flow*>& list = ctx.flows;
+    std::vector<std::size_t>& off = ctx.coflow_flow_offsets;
+    std::size_t kept_coflows = 0, kept_flows = 0;
+    for (std::size_t c = 0; c < ctx.coflows.size(); ++c) {
+      fabric::Coflow* co = ctx.coflows[c];
+      const std::size_t begin = off[c], end = off[c + 1];
+      if (co->completed() || co->slo == fabric::SloClass::kRejected) continue;
+      ctx.coflows[kept_coflows] = co;
+      off[kept_coflows++] = kept_flows;
+      if (char& touched = coflow_touched[co->id]) {
+        touched = 0;
+        for (std::size_t i = begin; i < end; ++i)
+          if (!list[i]->done()) list[kept_flows++] = list[i];
+      } else if (kept_flows == begin) {
+        kept_flows = end;
+      } else {
+        for (std::size_t i = begin; i < end; ++i) list[kept_flows++] = list[i];
+      }
+    }
+    ctx.coflows.resize(kept_coflows);
+    off[kept_coflows] = kept_flows;
+    off.resize(kept_coflows + 1);
+    list.resize(kept_flows);
     seg_valid = false;
+    live_stale = false;
   }
 
   // Cumulative wire bytes over all flows at the current boundary, without
@@ -577,7 +541,8 @@ class Engine {
 
   // The snapshot's CPU reads, taken once per source port: CpuProvider
   // methods are const functions of (node, t) and every read here is at
-  // seg_base, so the memo returns the provider's own bits.
+  // seg_base, so the memo returns the provider's own bits. A snapshot cut
+  // at a decision point reads headroom from that round's CPU sample.
   struct SegCpu {
     std::uint64_t stamp = 0;  // seg_cpu_stamp of the reads below
     double headroom = 0;
@@ -587,107 +552,131 @@ class Engine {
     SegCpu& m = seg_cpu[p];
     if (m.stamp != seg_cpu_stamp) {
       m.stamp = seg_cpu_stamp;
-      m.headroom = cpu.headroom(p, seg_base);
+      m.headroom = seg_cpu_sampled ? ctx.cpu_sample.headroom(p)
+                                   : cpu.headroom(p, seg_base);
       m.until = cpu.headroom_constant_until(p, seg_base);
     }
     return m;
   }
 
-  // Re-snapshots every unfinished flow of every active coflow at the
-  // current boundary: decision tables -> per-flow segment constants plus
-  // the segment aggregates (earliest event, interior-slice progress, stall
-  // census, CPU-headroom promise).
-  void snapshot_segment() {
+  // Installs a decided flow's new rate and beta switch: capacity sums,
+  // preemption and flip accounting plus the dirty feed. Reads the flow
+  // itself only when one of those needs it, so an unserved flow costs a
+  // few table reads.
+  void install_decision(const fabric::Allocation& alloc, fabric::FlowId fid) {
+    const double new_rate = alloc.rate(fid);
+    const bool new_compress = alloc.compress(fid);
+    // Adding a zero rate leaves every port sum as it was.
+    if (config.validate_allocations && new_rate != 0) {
+      const fabric::Flow& f = flows[fid];
+      port_in_sum[f.src] += new_rate;
+      port_out_sum[f.dst] += new_rate;
+    }
+    // A flow that loses its bandwidth mid-life (without switching to
+    // compression) was preempted by a shorter coflow.
+    if (sink != nullptr && rate[fid] > kTiny && new_rate <= kTiny &&
+        !new_compress) [[unlikely]]
+      ColdEmit::preemption(sink, ctx.now, std::int64_t(fid),
+                           std::int64_t(coflows[flows[fid].coflow].trace_id));
+    // An Eq. 3 decision that reversed while raw volume remains: the
+    // bottleneck B moved across the R_eff * (1 - xi) threshold (both
+    // directions happen under brownouts and recoveries).
+    if (decided[fid] && (compress[fid] != 0) != new_compress &&
+        flows[fid].raw_remaining > fabric::kVolumeEpsilon)
+      ++dstats.compression_flips;
+    decided[fid] = 1;
+    rate[fid] = new_rate;
+    compress[fid] = new_compress ? 1 : 0;
+    // Served flows drain volume over the coming segment, so their Γ terms
+    // are stale by the next decision point. Zero-rate flows do not move —
+    // in a saturated fabric this keeps the dirty set near O(ports served),
+    // not O(coflows).
+    if (track && (new_rate > kTiny || new_compress))
+      tracker.flow_progressed(flows[fid].coflow);
+  }
+
+  // Starts a moving flow's segment at the current boundary.
+  FlowSeg& cut_flow(const fabric::Flow& f, FlowSeg::Mode mode, double speed,
+                    double step) {
+    FlowSeg& s = seg[f.id];
+    s.d0 = f.raw_remaining;
+    s.D0 = f.compressed_pending;
+    s.sent0 = f.sent;
+    s.sentc0 = f.sent_compressed;
+    s.rate = speed;
+    s.step = step;
+    s.epoch = seg_epoch;
+    s.mode = mode;
+    seg_moving.push_back(f.id);
+    seg_progress_step += step;
+    return s;
+  }
+
+  // The decide+snapshot walk. One pass over the live list, starting a
+  // segment at seg_base: when `alloc` is the round's allocation each flow
+  // first gets its decision installed, then the flow is snapshotted —
+  // decision tables -> segment constants for the moving flows plus the
+  // segment aggregates (earliest event and its ties, interior-slice
+  // progress, stall census, CPU-headroom promise). Every entry is
+  // unfinished here: each cut follows a compaction or an arrival. The
+  // capacity check sums the per-port rates on the way and throws once the
+  // walk is done.
+  void snapshot_segment(const fabric::Allocation* alloc) {
     ++seg_epoch;
     ++seg_cpu_stamp;
-    seg_flows.clear();
-    seg_min_event_j = kNoEvent;
+    seg_cpu_sampled = ctx.cpu_sample.holds(cpu, live.num_ports(), seg_base);
+    seg_events.reset();
+    seg_moving.clear();
     seg_progress_step = 0;
     seg_stall_count = 0;
     seg_cpu_T = std::numeric_limits<common::Seconds>::infinity();
     seg_has_blocked = false;
     const bool any_port_degraded = degrade_on && live.degraded();
-    for (const std::size_t ci : active) {
-      for (const fabric::FlowId fid : coflows[ci].state.flows) {
-        fabric::Flow& f = flows[fid];
-        if (f.done() || f.completed()) continue;
-        FlowSeg& s = seg[fid];
-        s.d0 = f.raw_remaining;
-        s.D0 = f.compressed_pending;
-        s.sent0 = f.sent;
-        s.sentc0 = f.sent_compressed;
-        s.event_j = kNoEvent;
-        s.epoch = seg_epoch;
-        if (compress[fid] && config.codec != nullptr &&
-            s.d0 > fabric::kVolumeEpsilon) {
-          const SegCpu& src_cpu = seg_cpu_at(f.src);
-          const double r_eff = config.codec->compress_speed * src_cpu.headroom;
-          if (r_eff > kTiny) {
-            s.mode = FlowSeg::kCompress;
-            s.rate = r_eff;
-            s.step = r_eff * config.slice;
-            s.ratio = f.effective_ratio(config.codec->ratio);
-            const double d0 = s.d0, cstep = s.step;
-            s.event_j = first_true_near(
-                (d0 - fabric::kVolumeEpsilon) / cstep + 1.0,
-                [d0, cstep](std::uint64_t j) {
-              return d0 - std::min(d0, static_cast<double>(j) * cstep) <=
-                     fabric::kVolumeEpsilon;
-            });
-            seg_progress_step += s.step;
-            seg_cpu_T = std::min(seg_cpu_T, src_cpu.until);
-          } else {
-            // CPU busy under an assigned beta: resample every slice so the
-            // scheduler can drop the switch (historical behavior).
-            s.mode = FlowSeg::kBlocked;
-            s.rate = 0;
-            s.step = 0;
-            seg_has_blocked = true;
-          }
-        } else if (rate[fid] > kTiny) {
-          s.mode = FlowSeg::kTransmit;
-          s.rate = rate[fid];
-          s.step = rate[fid] * config.slice;
-          const double V0 = s.d0 + s.D0, step = s.step;
-          s.event_j = first_true_near(V0 / step, [V0, step](std::uint64_t j) {
-            const double v_prev =
-                V0 - std::min(V0, static_cast<double>(j - 1) * step);
-            const double v_now =
-                V0 - std::min(V0, static_cast<double>(j) * step);
-            return v_prev <= step + kTiny ||
-                   v_now <= fabric::kVolumeEpsilon;
-          });
-          seg_progress_step += s.step;
+    const bool check = alloc != nullptr && config.validate_allocations;
+    if (check) {
+      std::fill(port_in_sum.begin(), port_in_sum.end(), 0.0);
+      std::fill(port_out_sum.begin(), port_out_sum.end(), 0.0);
+    }
+    for (const fabric::Flow* live_flow : ctx.flows) {
+      const auto fid = static_cast<fabric::FlowId>(live_flow - flows.data());
+      if (alloc != nullptr) install_decision(*alloc, fid);
+      const fabric::Flow& f = *live_flow;
+      if (compress[fid] && config.codec != nullptr &&
+          f.raw_remaining > fabric::kVolumeEpsilon) {
+        const SegCpu& src_cpu = seg_cpu_at(f.src);
+        const double r_eff = config.codec->compress_speed * src_cpu.headroom;
+        if (r_eff > kTiny) {
+          FlowSeg& s = cut_flow(f, FlowSeg::kCompress, r_eff,
+                                r_eff * config.slice);
+          s.ratio = f.effective_ratio(config.codec->ratio);
+          seg_events.offer(fid, segment::CompressEvent{s.d0, s.step});
+          seg_cpu_T = std::min(seg_cpu_T, src_cpu.until);
         } else {
-          s.mode = FlowSeg::kIdle;
-          s.rate = 0;
-          s.step = 0;
-          // Rate zero on a zero-capacity port is a stall, not starvation:
-          // the flow accrues waiting time until the link recovers.
-          if (any_port_degraded &&
-              std::min(live.ingress_capacity(f.src),
-                       live.egress_capacity(f.dst)) <= 0.0)
-            ++seg_stall_count;
+          // CPU busy under an assigned beta: resample every slice so the
+          // scheduler can drop the switch (historical behavior).
+          seg_has_blocked = true;
         }
-        seg_flows.push_back(fid);
-        seg_min_event_j = std::min(seg_min_event_j, s.event_j);
+      } else if (rate[fid] > kTiny) {
+        const FlowSeg& s = cut_flow(f, FlowSeg::kTransmit, rate[fid],
+                                    rate[fid] * config.slice);
+        seg_events.offer(fid, segment::TransmitEvent{s.d0 + s.D0, s.step});
+      } else if (any_port_degraded &&
+                 std::min(live.ingress_capacity(f.src),
+                          live.egress_capacity(f.dst)) <= 0.0) {
+        // Rate zero on a zero-capacity port is a stall, not starvation:
+        // the flow accrues waiting time until the link recovers.
+        ++seg_stall_count;
       }
     }
-    seg_valid = true;
-  }
-
-  void build_context() {
-    ctx.clear_round();
-    ctx.now = slice_time(seg_j);
-    ctx.coflows.reserve(active.size());
-    ctx.coflow_flow_offsets.reserve(active.size() + 1);
-    for (const std::size_t ci : active) {
-      ctx.coflows.push_back(&coflows[ci].state);
-      ctx.coflow_flow_offsets.push_back(ctx.flows.size());
-      for (const fabric::FlowId fid : coflows[ci].state.flows)
-        if (!flows[fid].done()) ctx.flows.push_back(&flows[fid]);
+    if (check) {
+      const double slack = 1.0 + fabric::kFeasibilityTolerance;
+      for (fabric::PortId p = 0; p < live.num_ports(); ++p)
+        if (port_in_sum[p] > live.ingress_capacity(p) * slack ||
+            port_out_sum[p] > live.egress_capacity(p) * slack)
+          throw SimError("sim: scheduler " + sched.name() +
+                         " violated port capacities");
     }
-    ctx.coflow_flow_offsets.push_back(ctx.flows.size());
+    seg_valid = true;
   }
 
   // ---- Crash-fault tolerance (DESIGN.md section 13). ----
@@ -736,9 +725,12 @@ class Engine {
   std::uint64_t seg_j = 0;
   bool seg_valid = false;
   std::uint64_t seg_epoch = 0;
-  std::vector<FlowSeg> seg;
-  std::vector<fabric::FlowId> seg_flows;  // snapshot members, in walk order
-  std::uint64_t seg_min_event_j = kNoEvent;
+  std::vector<FlowSeg> seg;  // by flow; current iff epoch == seg_epoch
+  std::vector<fabric::FlowId> seg_moving;  // cut flows that move, walk order
+  std::vector<char> coflow_touched;  // by coflow: a flow moved or finished
+  // Earliest flow event of the segment (1-based slice index) and the flows
+  // tied at it, in live-list order: the event walk visits only these.
+  segment::EventMin seg_events;
   double seg_progress_step = 0;       // bytes disposed per interior slice
   std::uint64_t seg_stall_count = 0;  // flows pinned on a failed link
   common::Seconds seg_cpu_T = std::numeric_limits<common::Seconds>::infinity();
@@ -746,6 +738,11 @@ class Engine {
   // The stamp counts snapshots and, unlike seg_epoch, never restarts.
   std::vector<SegCpu> seg_cpu;  // by port
   std::uint64_t seg_cpu_stamp = 0;
+  bool seg_cpu_sampled = false;  // ctx.cpu_sample holds at seg_base
+  // A flow finished or a coflow was shed since the live list was last
+  // compacted; the next decision point compacts it first.
+  bool live_stale = false;
+  std::vector<double> port_in_sum, port_out_sum;  // capacity check, by port
 
   common::Seconds window_start = 0;
   double window_sent_base = 0;
@@ -981,8 +978,10 @@ void Engine::checkpoint(common::Seconds t) {
 void Engine::save_state(recovery::StateWriter& w) const {
   // Only non-derivable state is serialized: everything keyed to the
   // DirtyTracker session (scheduler rank indexes, memoized Γ caches) is
-  // rebuilt from this state on first contact, and the segment tables are
-  // always settled (seg_valid == false) at a checkpoint fold point.
+  // rebuilt from this state on first contact, the live list from the
+  // active set, and the segment tables from the boundary: a checkpoint
+  // fold point has just cut its segment (seg_j == 0), so no pool has moved
+  // since and a restore re-snapshots the same segment.
   w.u32(tag4('E', 'N', 'G', 'N'));
   w.u64(journal_seq_);
   w.u64(round);
@@ -1213,9 +1212,15 @@ void Engine::restore_state(recovery::StateReader& r) {
 
   // Snapshots are only cut at fold points: the segment tables restart
   // empty and the next loop iteration re-snapshots at the same boundary
-  // the crashed run did.
+  // the crashed run did, over the live list the crashed run's decision
+  // point left (the unfinished flows of the active set).
   seg_valid = false;
   seg_epoch = 0;
+  ctx.coflows.clear();
+  ctx.flows.clear();
+  ctx.coflow_flow_offsets.assign(1, 0);
+  for (const std::size_t ci : active) append_live(coflows[ci]);
+  live_stale = false;
 }
 
 // ---- The main loop. ----
@@ -1300,6 +1305,7 @@ Metrics Engine::run() {
           push_expiry(sc.state.deadline, ci);
       }
       active.push_back(ci);
+      append_live(sc);
       if (track) tracker.coflow_arrived(&sc.state);
       need_schedule = true;
       coflow_event = true;
@@ -1323,7 +1329,7 @@ Metrics Engine::run() {
     const bool shed_due = admit_on && next_expiry() <= t + kTiny;
     const bool cpu_fold_due = seg_valid && seg_j > 0 && t >= seg_cpu_T;
     if (seg_valid && (need_schedule || cpu_fold_due || shed_due))
-      materialize_segment();
+      fold_live();
 
     if (shed_due) {
       // Shed every coflow whose deadline passed by this boundary (the
@@ -1397,12 +1403,18 @@ Metrics Engine::run() {
     }
 
     if (need_schedule) {
-      build_context();
+      // A decision without a running segment to fold (first round, after
+      // an idle jump or a shed) compacts the live list on its own.
+      if (live_stale) fold_live();
+      ctx.now = t;
       ctx.coflow_event = coflow_event;
-      // The cached Γ terms read CPU headroom through Eq. 3/7; sampling here
-      // (value-compared per port) dirties exactly the coflows sourced at
-      // ports whose headroom or compress gate moved since the last round.
-      if (track) tracker.sample_cpu(cpu, ctx.now);
+      // One CPU read per port for the whole decision point. The cached Γ
+      // terms read CPU headroom through Eq. 3/7; the tracker's
+      // value-compare of this sample dirties exactly the coflows sourced
+      // at ports whose headroom or compress gate moved since the last
+      // round.
+      ctx.cpu_sample.take(cpu, live.num_ports(), t);
+      if (track) tracker.sample_cpu(ctx.cpu_sample);
       if (sink != nullptr) [[unlikely]]
         ColdEmit::schedule_round(sink, t, round, sched.name(),
                                  std::int64_t(ctx.coflows.size()),
@@ -1412,42 +1424,18 @@ Metrics Engine::run() {
         obs::ProfileScope scope(sink, "sim.schedule");
         alloc = sched.schedule(ctx);
       }
-      if (config.validate_allocations && !feasible(alloc, ctx.flows, live))
-        throw SimError("sim: scheduler " + sched.name() +
-                       " violated port capacities");
-      for (const fabric::Flow* f : ctx.flows) {
-        const double new_rate = alloc.rate(f->id);
-        const bool new_compress = alloc.compress(f->id);
-        // A flow that loses its bandwidth mid-life (without switching to
-        // compression) was preempted by a shorter coflow.
-        if (sink != nullptr && rate[f->id] > kTiny && new_rate <= kTiny &&
-            !new_compress) [[unlikely]]
-          ColdEmit::preemption(sink, t, std::int64_t(f->id),
-                               std::int64_t(coflows[f->coflow].trace_id));
-        // An Eq. 3 decision that reversed while raw volume remains: the
-        // bottleneck B moved across the R_eff * (1 - xi) threshold (both
-        // directions happen under brownouts and recoveries).
-        if (decided[f->id] && (compress[f->id] != 0) != new_compress &&
-            f->raw_remaining > fabric::kVolumeEpsilon)
-          ++dstats.compression_flips;
-        decided[f->id] = 1;
-        rate[f->id] = new_rate;
-        compress[f->id] = new_compress ? 1 : 0;
-        // Served flows drain volume over the coming segment, so their Γ
-        // terms are stale by the next decision point. Zero-rate flows do
-        // not move — in a saturated fabric this keeps the dirty set near
-        // O(ports served), not O(coflows).
-        if (track && (new_rate > kTiny || new_compress))
-          tracker.flow_progressed(f->coflow);
-      }
       need_schedule = false;
       coflow_event = false;
       ++round;
       if (sink != nullptr)
         sink->registry().counter("sim.schedule_rounds").add();
-      // Post-schedule fold point: the segment is settled (seg_valid just
-      // went false above) and nothing is pending, so re-entering the loop
-      // top from this state replays the rest of the iteration identically.
+      seg_base = t;
+      seg_j = 0;
+      snapshot_segment(&alloc);
+      // Post-schedule fold point: the segment was just cut at this
+      // boundary and nothing is pending, so re-entering the loop top from
+      // this state (a restore re-snapshots the same boundary from the same
+      // tables) replays the rest of the iteration identically.
       // Checkpointing anywhere else would add fold points the uncrashed
       // run never had and break byte-identity.
       if (ckpt_every_ > 0 && round % ckpt_every_ == 0) checkpoint(t);
@@ -1456,7 +1444,7 @@ Metrics Engine::run() {
     if (!seg_valid) {
       seg_base = t;
       seg_j = 0;
-      snapshot_segment();
+      snapshot_segment(nullptr);
     }
 
     // ---- Advance k slices in one closed-form step. ----
@@ -1470,7 +1458,7 @@ Metrics Engine::run() {
     std::uint64_t k = 1;
     if (event_mode) {
       std::uint64_t cap =
-          seg_min_event_j == kNoEvent ? kNoEvent : seg_min_event_j - seg_j;
+          seg_events.min() == kNoEvent ? kNoEvent : seg_events.min() - seg_j;
       if (next_arrival < arrival_order.size()) {
         const common::Seconds arr =
             coflows[arrival_order[next_arrival]].state.arrival;
@@ -1534,69 +1522,67 @@ Metrics Engine::run() {
     }
 
     const std::uint64_t target = seg_j + k;
-    if (seg_min_event_j == target) {
+    if (seg_events.min() == target) {
       // Flow events land in slice `target` (the slice starting at
-      // target - 1 boundaries past the segment base). Walk in the same
-      // coflow-then-flow order as the historical per-slice loop.
+      // target - 1 boundaries past the segment base). The tie list holds
+      // exactly the flows whose first event is `target`, in the live
+      // list's coflow-then-flow order — the order of the historical
+      // per-slice loop. Any event forces a fold at the next boundary, so a
+      // segment's tie list is walked at most once.
       const common::Seconds start =
           slice_time(0) + static_cast<double>(target - 1) * config.slice;
-      for (const std::size_t ci : active) {
-        SimCoflow& sc = coflows[ci];
-        for (const fabric::FlowId fid : sc.state.flows) {
-          FlowSeg& s = seg[fid];
-          if (s.epoch != seg_epoch || s.event_j != target) continue;
-          fabric::Flow& f = flows[fid];
-          if (s.mode == FlowSeg::kTransmit) {
-            const double V0 = s.d0 + s.D0;
-            const double w_prev =
-                std::min(V0, static_cast<double>(target - 1) * s.step);
-            const double wc_prev = std::min(s.D0, w_prev);
-            const double v_start = V0 - w_prev;
-            const double dc_start = s.D0 - wc_prev;
-            const bool whole = v_start <= s.step + kTiny;
-            f.sent = s.sent0 + w_prev + v_start;
-            f.sent_compressed =
-                s.sentc0 + wc_prev +
-                (whole ? dc_start : std::min(dc_start, s.step));
-            s.epoch = 0;
-            finalize_flow(f, sc, start + v_start / s.rate);
-          } else {  // kCompress: raw pool exhausted this slice
-            const double cc =
-                std::min(s.d0, static_cast<double>(target) * s.step);
-            f.raw_remaining = 0;
-            f.compressed_pending = s.D0 + cc * s.ratio;
-            s.epoch = 0;
-            need_schedule = true;  // compression finished: hand out a rate
-            // The round that switched this flow to compression already left
-            // a pending flow_progressed mark, so this re-mark is redundant
-            // today — kept so the dirty feed stays correct even if marks
-            // are ever consumed between here and that round.
-            if (track) tracker.flow_progressed(f.coflow);
-            if (sink != nullptr) [[unlikely]]
-              ColdEmit::compression_done(sink, start, std::int64_t(f.id),
-                                         std::int64_t(sc.trace_id),
-                                         f.compressed_pending);
-            if (f.done()) {
-              // Degenerate codec (ratio ~ 0) removed the whole volume.
-              const double d_prev = s.d0 -
-                  std::min(s.d0, static_cast<double>(target - 1) * s.step);
-              const double consumed = std::min(d_prev, s.step);
-              finalize_flow(f, sc, start + consumed / s.rate);
-            }
+      for (const fabric::FlowId fid : seg_events.ties()) {
+        FlowSeg& s = seg[fid];
+        fabric::Flow& f = flows[fid];
+        SimCoflow& sc = coflows[f.coflow];
+        if (s.mode == FlowSeg::kTransmit) {
+          const double V0 = s.d0 + s.D0;
+          const double w_prev =
+              std::min(V0, static_cast<double>(target - 1) * s.step);
+          const double wc_prev = std::min(s.D0, w_prev);
+          const double v_start = V0 - w_prev;
+          const double dc_start = s.D0 - wc_prev;
+          const bool whole = v_start <= s.step + kTiny;
+          f.sent = s.sent0 + w_prev + v_start;
+          f.sent_compressed =
+              s.sentc0 + wc_prev +
+              (whole ? dc_start : std::min(dc_start, s.step));
+          s.epoch = 0;
+          finalize_flow(f, sc, start + v_start / s.rate);
+        } else {  // kCompress: raw pool exhausted this slice
+          const double cc =
+              std::min(s.d0, static_cast<double>(target) * s.step);
+          f.raw_remaining = 0;
+          f.compressed_pending = s.D0 + cc * s.ratio;
+          s.epoch = 0;
+          need_schedule = true;  // compression finished: hand out a rate
+          // The round that switched this flow to compression already left
+          // a pending flow_progressed mark, so this re-mark is redundant
+          // today — kept so the dirty feed stays correct even if marks
+          // are ever consumed between here and that round.
+          if (track) tracker.flow_progressed(f.coflow);
+          if (sink != nullptr) [[unlikely]]
+            ColdEmit::compression_done(sink, start, std::int64_t(f.id),
+                                       std::int64_t(sc.trace_id),
+                                       f.compressed_pending);
+          if (f.done()) {
+            // Degenerate codec (ratio ~ 0) removed the whole volume.
+            const double d_prev = s.d0 -
+                std::min(s.d0, static_cast<double>(target - 1) * s.step);
+            const double consumed = std::min(d_prev, s.step);
+            finalize_flow(f, sc, start + consumed / s.rate);
           }
         }
       }
+      // Drop the coflows those events completed (shed coflows leave at
+      // their shedding).
+      active.erase(std::remove_if(active.begin(), active.end(),
+                                  [&](std::size_t ci) {
+                                    return coflows[ci].state.completed();
+                                  }),
+                   active.end());
     }
     if (seg_has_blocked) need_schedule = true;
-
-    // Drop completed (and, belt-and-suspenders, shed) coflows.
-    active.erase(std::remove_if(active.begin(), active.end(),
-                                [&](std::size_t ci) {
-                                  return coflows[ci].state.completed() ||
-                                         coflows[ci].state.slo ==
-                                             fabric::SloClass::kRejected;
-                                }),
-                 active.end());
 
     // Stall accounting, k slices at once: interior slices of a segment all
     // dispose the same seg_progress_step bytes, and a slice with a flow

@@ -296,7 +296,7 @@ TEST(TableFormatters, Render) {
 
 TEST(Flags, ParsesKeysAndDefaults) {
   const char* argv[] = {"prog", "--alpha=0.5", "--name=test", "--verbose"};
-  Flags flags(4, argv);
+  Flags flags(4, argv, {"alpha", "name", "verbose", "missing"});
   EXPECT_TRUE(flags.has("alpha"));
   EXPECT_DOUBLE_EQ(flags.get_double("alpha", 0.0), 0.5);
   EXPECT_EQ(flags.get("name", ""), "test");
@@ -306,7 +306,31 @@ TEST(Flags, ParsesKeysAndDefaults) {
 
 TEST(Flags, RejectsPositional) {
   const char* argv[] = {"prog", "positional"};
-  EXPECT_THROW(Flags(2, argv), std::invalid_argument);
+  EXPECT_THROW(Flags(2, argv, {"positional"}), std::invalid_argument);
+}
+
+TEST(Flags, RejectsUnknownKey) {
+  // Every spelling of an undeclared key fails, and the message names it.
+  for (const char* arg : {"--coflowz=3", "--coflowz", "--trace-outt=x"}) {
+    SCOPED_TRACE(arg);
+    const char* argv[] = {"prog", "--coflows=3", arg};
+    try {
+      Flags(3, argv, {"coflows", "trace-out"});
+      ADD_FAILURE() << "accepted an undeclared flag";
+    } catch (const std::invalid_argument& e) {
+      const std::string key = std::string(arg).substr(
+          0, std::string(arg).find('='));
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  // "--key value": the value token is not itself checked as a key.
+  const char* argv[] = {"prog", "--coflows", "3"};
+  const Flags flags(3, argv, {"coflows"});
+  EXPECT_EQ(flags.get_int("coflows", 0), 3);
+  // Declared but absent keys fall back to their defaults.
+  const Flags none(1, argv, {"coflows"});
+  EXPECT_EQ(none.get_int("coflows", 40), 40);
 }
 
 TEST(Logging, LevelGatesMessages) {

@@ -1,10 +1,16 @@
 // Simulation-engine tests: byte conservation, exact completion timestamps,
-// arrival activation, determinism, slice-staleness, allocation validation
-// and deadlock detection.
+// arrival activation, determinism, slice-staleness, allocation validation,
+// deadlock detection and the segment event search.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
+#include "sim/segment.hpp"
 
 namespace swallow::sim {
 namespace {
@@ -240,6 +246,117 @@ TEST(Engine, EmptyTraceYieldsEmptyMetrics) {
   EXPECT_TRUE(m.flows.empty());
   EXPECT_TRUE(m.coflows.empty());
   EXPECT_DOUBLE_EQ(m.avg_fct(), 0.0);
+}
+
+// ---- Segment event search (sim/segment.hpp) ----
+
+// One flow's event predicate as the engine builds it at a segment cut.
+struct SegFlow {
+  bool compress = false;
+  double volume = 0;  // V0 (transmit) or d0 (compress)
+  double step = 0;
+};
+
+std::uint64_t exhaustive_event(const SegFlow& f) {
+  if (f.compress) {
+    const segment::CompressEvent ev{f.volume, f.step};
+    return segment::first_true_near(ev.guess(), ev);
+  }
+  const segment::TransmitEvent ev{f.volume, f.step};
+  return segment::first_true_near(ev.guess(), ev);
+}
+
+TEST(SegmentEventSearch, BoundedMinimumMatchesExhaustiveSearch) {
+  // Random segments mixing ordinary flows with the degenerate corners of
+  // the lower-bound argument: steps just above kTiny, volumes at or below
+  // epsilon, V0 / step at and beyond 2^53 (where j stops being exact in a
+  // double) and past the kCap saturation, compress-mode predicates, and
+  // exact or near duplicates (ties). The bounded search must report the
+  // exhaustive per-flow minimum and exactly the flows tied at it, in offer
+  // order.
+  std::mt19937_64 rng(20240617);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  auto log_uniform = [&](double lo, double hi) {
+    return lo * std::pow(hi / lo, u(rng));
+  };
+  auto draw = [&]() {
+    SegFlow f;
+    f.compress = u(rng) < 0.3;
+    switch (rng() % 6) {
+      case 0:  // ordinary
+        f.volume = log_uniform(1e3, 1e9);
+        f.step = log_uniform(1e2, 1e7);
+        break;
+      case 1:  // step just above kTiny (rate barely served)
+        f.volume = log_uniform(1e-3, 1e9);
+        f.step = segment::kTiny * (1.0 + u(rng) * 1e-3);
+        break;
+      case 2:  // volume at or below epsilon
+        f.volume = fabric::kVolumeEpsilon * u(rng);
+        f.step = log_uniform(1e-9, 1e6);
+        break;
+      case 3:  // V0 / step around and above 2^53
+        f.volume = log_uniform(1e6, 1e9);
+        f.step = f.volume / std::ldexp(1.0, 53 + static_cast<int>(rng() % 12));
+        break;
+      case 4:  // one slice or just over
+        f.step = log_uniform(1e2, 1e7);
+        f.volume = f.step * (1.0 + (u(rng) - 0.5) * 1e-9);
+        break;
+      default:  // short flows near the minimum
+        f.volume = log_uniform(1e2, 1e4);
+        f.step = log_uniform(1e2, 1e3);
+        break;
+    }
+    return f;
+  };
+  std::size_t pruned_trials = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::vector<SegFlow> flows(1 + rng() % 40);
+    for (SegFlow& f : flows) {
+      if (&f != &flows.front() && u(rng) < 0.15)
+        f = flows[rng() % static_cast<std::size_t>(&f - flows.data())];
+      else
+        f = draw();
+    }
+    std::uint64_t want_min = segment::kNoEvent;
+    std::vector<fabric::FlowId> want_ties;
+    std::vector<std::uint64_t> exact(flows.size());
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      exact[i] = exhaustive_event(flows[i]);
+      if (exact[i] < want_min) {
+        want_min = exact[i];
+        want_ties.clear();
+      }
+      if (exact[i] == want_min) want_ties.push_back(i);
+    }
+    segment::EventMin got;
+    got.reset();
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      if (flows[i].compress)
+        got.offer(i, segment::CompressEvent{flows[i].volume, flows[i].step});
+      else
+        got.offer(i, segment::TransmitEvent{flows[i].volume, flows[i].step});
+    }
+    ASSERT_EQ(got.min(), want_min) << "trial " << trial;
+    ASSERT_EQ(got.ties(), want_ties) << "trial " << trial;
+    pruned_trials += want_ties.size() < flows.size();
+  }
+  EXPECT_GT(pruned_trials, 1000u);  // the bound actually pruned flows
+}
+
+TEST(SegmentEventSearch, SaturatedEventsAllTie) {
+  // Predicates that never hold below 2^62 report kCap; a saturated
+  // minimum prunes nothing, so every such flow ties it.
+  segment::EventMin m;
+  m.reset();
+  for (fabric::FlowId id = 0; id < 3; ++id)
+    m.offer(id, segment::TransmitEvent{1e9, segment::kTiny * 1.5});
+  EXPECT_EQ(m.min(), segment::kCap);
+  EXPECT_EQ(m.ties(), (std::vector<fabric::FlowId>{0, 1, 2}));
+  m.offer(3, segment::CompressEvent{fabric::kVolumeEpsilon / 2, 1.0});
+  EXPECT_EQ(m.min(), 1u);
+  EXPECT_EQ(m.ties(), (std::vector<fabric::FlowId>{3}));
 }
 
 }  // namespace

@@ -7,14 +7,20 @@
 // points, so these tests compare with exact equality across every scheduler
 // the registry knows, with quantized completions, degradation, utilization
 // sampling and decompression modeling both on and off, and under every CPU
-// provider. Also covers run_batch: a parallel sweep must return exactly the
-// serial sweep's results.
+// provider, and journal the same event records in the same order (also
+// for a many-way tie of completions in one slice). Also covers run_batch:
+// a parallel sweep must return exactly the serial sweep's results.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cpu/cpu_model.hpp"
+#include "recovery/journal.hpp"
 #include "sim/experiment.hpp"
 #include "sim/run_batch.hpp"
 
@@ -189,6 +195,86 @@ TEST(EngineParity, DeadlockDetectedInBothModes) {
     LazyScheduler lazy;
     EXPECT_THROW(sim::run_simulation(trace, fabric, cpu, lazy, config),
                  sim::SimError);
+  }
+}
+
+// The journal of one run of `trace` in `mode` (no checkpoints).
+std::vector<recovery::JournalRecord> journal_of(const workload::Trace& trace,
+                                                const fabric::Fabric& fabric,
+                                                const cpu::CpuProvider& cpu,
+                                                const std::string& name,
+                                                sim::SimConfig config,
+                                                sim::EngineMode mode) {
+  std::string tmpl = (std::filesystem::temp_directory_path() /
+                      "swallow-parity-XXXXXX")
+                         .string();
+  if (::mkdtemp(tmpl.data()) == nullptr) throw std::runtime_error("mkdtemp");
+  config.recovery.dir = tmpl;
+  run_mode(trace, fabric, cpu, name, config, mode);
+  std::vector<recovery::JournalRecord> records =
+      recovery::read_journal(tmpl + "/journal.swj").records;
+  std::error_code ec;
+  std::filesystem::remove_all(tmpl, ec);
+  return records;
+}
+
+TEST(EngineParity, SimultaneousCompletionsKeepJournalOrder) {
+  // Four coflows of three identical flows, each flow alone on its port
+  // pair, sized so that every flow finishes in the same slice (1.005 s)
+  // although the coflows arrive 0.1 s apart in the reverse of their trace
+  // order. The event walk meets a twelve-way tie, and both modes must
+  // journal it in coflow-then-flow order: coflows by arrival, flows by
+  // position, each coflow's completion right after its last flow.
+  constexpr std::size_t kCoflows = 4, kWidth = 3, kPorts = kCoflows * kWidth;
+  const double bps = common::mbps(100);
+  workload::Trace trace;
+  trace.num_ports = kPorts;
+  for (std::size_t c = 0; c < kCoflows; ++c) {
+    workload::CoflowSpec spec;
+    spec.id = 100 + c;
+    spec.arrival = 0.1 * static_cast<double>(kCoflows - 1 - c);
+    for (std::size_t k = 0; k < kWidth; ++k) {
+      workload::FlowSpec f;
+      f.src = static_cast<fabric::PortId>(c * kWidth + k);
+      f.dst = static_cast<fabric::PortId>((c * kWidth + k + 5) % kPorts);
+      f.bytes = bps * (1.005 - spec.arrival);
+      f.compressible = false;
+      spec.flows.push_back(f);
+    }
+    trace.coflows.push_back(spec);
+  }
+  const fabric::Fabric fabric(kPorts, bps);
+  const cpu::ConstantCpu cpu(0.9);
+  sim::SimConfig config;
+  config.codec = &codec::default_codec_model();
+
+  for (const std::string name : {"FVDF", "SEBF", "FIFO"}) {
+    SCOPED_TRACE(name);
+    const auto ev = journal_of(trace, fabric, cpu, name, config,
+                               sim::EngineMode::kEventDriven);
+    const auto sl = journal_of(trace, fabric, cpu, name, config,
+                               sim::EngineMode::kSliceStepped);
+    ASSERT_EQ(ev.size(), sl.size());
+    for (std::size_t i = 0; i < ev.size(); ++i)
+      EXPECT_TRUE(ev[i] == sl[i]) << "record " << i;
+
+    std::vector<std::pair<recovery::JournalType, std::uint64_t>> done, want;
+    std::vector<double> slices;
+    for (const recovery::JournalRecord& r : ev) {
+      if (r.type == recovery::JournalType::kFlowComplete)
+        slices.push_back(std::floor(r.time / config.slice));
+      if (r.type == recovery::JournalType::kFlowComplete ||
+          r.type == recovery::JournalType::kCoflowComplete)
+        done.emplace_back(r.type, r.a);
+    }
+    ASSERT_EQ(slices.size(), kPorts);
+    for (const double s : slices) EXPECT_EQ(s, slices.front());
+    for (std::size_t c = kCoflows; c-- > 0;) {  // latest in trace, first in
+      for (std::size_t k = 0; k < kWidth; ++k)
+        want.emplace_back(recovery::JournalType::kFlowComplete, c * kWidth + k);
+      want.emplace_back(recovery::JournalType::kCoflowComplete, 100 + c);
+    }
+    EXPECT_EQ(done, want);
   }
 }
 

@@ -9,13 +9,15 @@
 // crosses schedulers with degradation, quantized completions and
 // non-constant CPU providers, which together exercise every dirty rule:
 // arrivals, flow completions, compression-finished, capacity multipliers,
-// CPU headroom changes and priority upgrades.
+// CPU headroom changes and priority upgrades. A counting CPU provider pins
+// one per-port CPU sample per decision point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <utility>
@@ -171,6 +173,85 @@ TEST(IncrementalIdentity, BurstyCpu) {
                               "bursty cpu, blind");
 }
 
+// ---- One CPU sample per decision point ----
+
+// Forwards every CpuProvider virtual, counting headroom reads per instant.
+class CountingCpu final : public cpu::CpuProvider {
+ public:
+  explicit CountingCpu(const cpu::CpuProvider& inner) : inner_(&inner) {}
+  double headroom(cpu::NodeId node, common::Seconds t) const override {
+    ++reads[t];
+    return inner_->headroom(node, t);
+  }
+  bool can_compress(cpu::NodeId node, common::Seconds t) const override {
+    return inner_->can_compress(node, t);
+  }
+  common::Seconds headroom_constant_until(cpu::NodeId node,
+                                          common::Seconds t) const override {
+    return inner_->headroom_constant_until(node, t);
+  }
+  mutable std::map<common::Seconds, std::uint64_t> reads;
+
+ private:
+  const cpu::CpuProvider* inner_;
+};
+
+// Forwards to a registry scheduler, recording each decision instant.
+class RecordingScheduler final : public sched::Scheduler {
+ public:
+  explicit RecordingScheduler(const std::string& name)
+      : inner_(sim::make_scheduler(name)) {}
+  std::string name() const override { return inner_->name(); }
+  fabric::Allocation schedule(const sched::SchedContext& ctx) override {
+    decisions.push_back(ctx.now);
+    return inner_->schedule(ctx);
+  }
+  std::vector<common::Seconds> decisions;
+
+ private:
+  std::unique_ptr<sched::Scheduler> inner_;
+};
+
+TEST(IncrementalCpuReads, OneSamplePerDecisionPoint) {
+  // The dirty tracker, the Eq. 3 gate, Eq. 7 and the segment cut all read
+  // one per-port sample per decision point, so no instant sees more than
+  // num_ports headroom reads. The only reads between decision points are
+  // the segment re-cuts at CPU folds, once per port as well. (Evaluating
+  // flows against the provider would read it once per evaluated flow.)
+  const workload::Trace trace = make_trace(41, 30, 8);
+  const fabric::Fabric fabric(trace.num_ports, common::mbps(100));
+  const cpu::ConstantCpu constant(0.9);
+  cpu::BurstyCpu::Config bc;
+  bc.nodes = 8;
+  bc.mean_burst = 0.05;
+  bc.busy_headroom = 0.3;
+  bc.seed = 7;
+  const cpu::BurstyCpu bursty(bc);
+  for (const cpu::CpuProvider* provider :
+       {static_cast<const cpu::CpuProvider*>(&constant),
+        static_cast<const cpu::CpuProvider*>(&bursty)}) {
+    for (const std::string name : {"FVDF", "FVDF-BLIND", "DEADLINE-FVDF"}) {
+      SCOPED_TRACE(name + (provider == &constant ? " constant" : " bursty"));
+      CountingCpu cpu(*provider);
+      RecordingScheduler sched(name);
+      sim::SimConfig config;
+      config.codec = &codec::default_codec_model();
+      sim::run_simulation(trace, fabric, cpu, sched, config);
+      ASSERT_GT(sched.decisions.size(), trace.coflows.size());
+      std::uint64_t total = 0;
+      for (const auto& [t, n] : cpu.reads) {
+        EXPECT_LE(n, fabric.num_ports()) << "t=" << t;
+        total += n;
+      }
+      const std::uint64_t per_round = fabric.num_ports();
+      if (provider == &constant)
+        EXPECT_EQ(total, per_round * sched.decisions.size());
+      else
+        EXPECT_GT(cpu.reads.size(), sched.decisions.size());  // CPU folds
+    }
+  }
+}
+
 // ---- DirtyTracker unit tests ----
 
 struct TrackerWorld {
@@ -268,6 +349,13 @@ TEST(DirtyTracker, LevelsMergeUpwardAndConsumeClears) {
   EXPECT_EQ(tracker.level(c0), sched::DirtyLevel::kClean);
 }
 
+cpu::CpuSample sample_of(const cpu::CpuProvider& cpu, std::size_t ports,
+                         common::Seconds t) {
+  cpu::CpuSample s;
+  s.take(cpu, ports, t);
+  return s;
+}
+
 TEST(DirtyTracker, CpuSamplingDirtiesOnValueChangesOnly) {
   TrackerWorld w;
   const auto c0 = w.add_coflow({{0, 1}});
@@ -279,9 +367,9 @@ TEST(DirtyTracker, CpuSamplingDirtiesOnValueChangesOnly) {
 
   // Constant provider: the first sample records, later samples never dirty.
   const cpu::ConstantCpu constant(0.9);
-  tracker.sample_cpu(constant, 0.0);
+  tracker.sample_cpu(sample_of(constant, 2, 0.0));
   EXPECT_TRUE(tracker.dirty().empty());
-  tracker.sample_cpu(constant, 10.0);
+  tracker.sample_cpu(sample_of(constant, 2, 10.0));
   EXPECT_TRUE(tracker.dirty().empty());
 
   // Windowed provider on port 0 only: idle until t=1, busy after. The
@@ -292,11 +380,11 @@ TEST(DirtyTracker, CpuSamplingDirtiesOnValueChangesOnly) {
   for (const auto& c : w.coflows) tracker2.coflow_arrived(&c);
   tracker2.consume();
   const cpu::WindowedCpu windowed({{0.0, 1.0}}, 0.9, 0.0);
-  tracker2.sample_cpu(windowed, 0.5);  // first sample: record only
+  tracker2.sample_cpu(sample_of(windowed, 2, 0.5));  // first sample: record only
   EXPECT_TRUE(tracker2.dirty().empty());
-  tracker2.sample_cpu(windowed, 0.6);  // unchanged values: no dirt
+  tracker2.sample_cpu(sample_of(windowed, 2, 0.6));  // unchanged values: no dirt
   EXPECT_TRUE(tracker2.dirty().empty());
-  tracker2.sample_cpu(windowed, 2.0);  // idle -> busy: both src ports moved
+  tracker2.sample_cpu(sample_of(windowed, 2, 2.0));  // idle -> busy: both src ports moved
   EXPECT_EQ(tracker2.dirty().size(), 2u);
   EXPECT_EQ(tracker2.level(c0), sched::DirtyLevel::kRecompute);
 }

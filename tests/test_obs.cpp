@@ -244,7 +244,7 @@ TEST(LogLevel, ParsesNames) {
 TEST(Flags, SpaceSeparatedValuesAndLogLevel) {
   const char* argv[] = {"prog", "--trace-out", "out.json", "--log-level=info",
                         "--flag"};
-  const common::Flags flags(5, argv);
+  const common::Flags flags(5, argv, {"trace-out", "log-level", "flag"});
   EXPECT_EQ(flags.get("trace-out", ""), "out.json");
   EXPECT_EQ(flags.get("log-level", ""), "info");
   EXPECT_TRUE(flags.get_bool("flag", false));

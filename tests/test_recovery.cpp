@@ -286,6 +286,45 @@ TEST(RecoveryMatrix, KillAnywhereDeadlinesAdmissionShedding) {
   }
 }
 
+TEST(RecoveryMatrix, KillAnywhereUnderBurstyCpu) {
+  // A time-varying CPU breaks segments at its promise expiries: folds with
+  // no schedule round, whose snapshots read the provider instead of a
+  // round's CPU sample. Kills land anywhere in that stream, and every
+  // restored run rebuilds its live flow list from the snapshot's active
+  // set before re-cutting the segment.
+  const workload::Trace trace = make_trace(59, 16, 6);
+  const fabric::Fabric fabric(trace.num_ports, common::mbps(150));
+  cpu::BurstyCpu::Config bc;
+  bc.nodes = 6;
+  bc.idle_fraction = 0.5;
+  bc.mean_burst = 0.4;
+  bc.seed = 13;
+  const cpu::BurstyCpu cpu(bc);
+  for (const sim::EngineMode mode :
+       {sim::EngineMode::kEventDriven, sim::EngineMode::kSliceStepped}) {
+    sim::SimConfig config;
+    config.engine_mode = mode;
+    config.codec = &codec::default_codec_model();
+    config.utilization_sample_period = 0.5;
+    const sim::Metrics clean = run_once(trace, fabric, cpu, "FVDF", config);
+    const std::uint64_t events =
+        count_events(trace, fabric, cpu, "FVDF", config);
+    ASSERT_GT(events, 4u);
+    for (std::uint64_t kill = 1; kill <= events;
+         kill += std::max<std::uint64_t>(1, events / 8)) {
+      recovery::CrashPlan plan;
+      plan.kill_at_event = kill;
+      const std::string label =
+          std::string(mode == sim::EngineMode::kEventDriven ? "event"
+                                                            : "slice") +
+          "/bursty/kill=" + std::to_string(kill);
+      const sim::Metrics recovered = kill_and_recover(
+          trace, fabric, cpu, "FVDF", config, plan, 2, label);
+      expect_identical(recovered, clean, label);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Crash shapes beyond a clean event kill
 // ---------------------------------------------------------------------------
